@@ -248,30 +248,12 @@ def example_cmd(family, n, cycle, base_path):
         elif family == "cstar":
             g = families.dual_cactus_s3()
         elif family == "kjn":
-            kj = vjn.kjn_graph(n)
-            g = _stringify(kj)
+            g = vjn.kjn_graph(n)
         else:
             g = families.gar3()
     except GraphError as e:
         _fail(e)
     click.echo(jsonio.dump_graph(g), nl=False)
-
-
-def _stringify(graph):
-    """Re-key a finite graph by its vertex tokens so it can serialize."""
-    from .graph import TrickleGraph
-
-    fmt = graph.format_vertex
-    verts = [fmt(v) for v in graph.vertices]
-    back = dict(zip(verts, graph.vertices))
-    edges = [(fmt(x), fmt(y)) for i, x in enumerate(graph.vertices)
-             for y in graph.vertices[i + 1:] if graph.edge(x, y)]
-    less = [(fmt(x), fmt(y)) for x in graph.vertices for y in graph.vertices
-            if graph.less(x, y)]
-    phi = {fmt(x): {fmt(y): fmt(graph.phi(x, y)) for y in graph.star(x)}
-           for x in graph.vertices}
-    return TrickleGraph.build(verts, {v: graph.mu(back[v]) for v in verts},
-                              edges, less, phi, ranking=verts, name=graph.name)
 
 
 @main.group("vjn")

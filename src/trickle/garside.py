@@ -38,7 +38,7 @@ def _require_pregarside(graph):
 
 
 def is_positive(g: GroupElement) -> bool:
-    """No inverse letters in the normal form."""
+    """No negative exponent in the normal form."""
     _require_pregarside(g.graph)
     return all(a > 0 for U in g.piling for _, a in U)
 
@@ -172,13 +172,13 @@ def theta_cube_check(graph) -> ValidationReport:
     """
     if not graph.finite:
         raise GraphError("the cube check needs a finite graph")
+    trivial = object()   # the trivial word; None encodes "undefined"
 
     def star_op(u, v):
-        # None encodes "undefined"; the empty string encodes the trivial word
-        if u == v:
-            return ""
-        if u == "" or v == "":
+        if u is trivial or v is trivial:
             return u
+        if u == v:
+            return trivial
         if not graph.edge(u, v):
             return None
         return graph.phi(v, u)
@@ -189,6 +189,9 @@ def theta_cube_check(graph) -> ValidationReport:
         if a is None or b is None:
             return None
         return star_op(a, b)
+
+    def show(w):
+        return "1" if w is trivial else repr(w)
 
     report = ValidationReport()
     for x, y, z in itertools.permutations(graph.vertices, 3):
@@ -202,7 +205,7 @@ def theta_cube_check(graph) -> ValidationReport:
         elif left is not None and left != right:
             report.violations.append(Violation(
                 "cube-coherence", (x, y, z),
-                f"the two complements disagree: {left!r} vs {right!r}"))
+                f"the two complements disagree: {show(left)} vs {show(right)}"))
     return report
 
 

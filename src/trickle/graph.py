@@ -451,10 +451,6 @@ class TrickleGraph:
         return f"<TrickleGraph {self.name!r}: lazy>"
 
 
-def dual_graph(graph: TrickleGraph) -> TrickleGraph:
-    return graph.dual()
-
-
 # ----------------------------------------------------------------------
 # validation
 

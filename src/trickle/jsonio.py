@@ -119,20 +119,23 @@ def load_graph(path) -> TrickleGraph:
 
 
 def graph_to_dict(graph: TrickleGraph) -> dict:
+    """The document of a finite graph, vertices written as their tokens."""
     if not graph.finite:
         raise GraphError("only finite graphs serialize")
     verts = graph.vertices
-    mu = [{"id": v, "mu": "inf" if graph.mu(v) == INFINITY else graph.mu(v)}
+    fmt = graph.format_vertex
+    mu = [{"id": fmt(v), "mu": "inf" if graph.mu(v) == INFINITY else graph.mu(v)}
           for v in verts]
-    edges = sorted([sorted((a, b)) for i, a in enumerate(verts)
+    edges = sorted([sorted((fmt(a), fmt(b))) for i, a in enumerate(verts)
                     for b in verts[i + 1:] if graph.edge(a, b)])
-    less = sorted([a, b] for a in verts for b in verts if graph.less(a, b))
+    less = sorted([fmt(a), fmt(b)] for a in verts for b in verts
+                  if graph.less(a, b))
     phi = {}
     for x in verts:
-        moved = sorted([y, graph.phi(x, y)] for y in graph.star(x)
+        moved = sorted([fmt(y), fmt(graph.phi(x, y))] for y in graph.star(x)
                        if graph.phi(x, y) != y)
         if moved:
-            phi[x] = moved
+            phi[fmt(x)] = moved
     return {"vertices": mu, "less": less, "edges": edges, "phi": phi}
 
 

@@ -4,9 +4,9 @@ A vertex subset is parabolic when each of its star maps stabilizes the
 star inside the subset, in both directions.  The induced graph is then a
 valid quadruple in its own right, its group embeds in the ambient one,
 and membership is visible on normal forms: an element lies in the
-subgroup iff every letter of its normal form is a subset vertex.  The
+subgroup iff every syllable of its normal form is on a subset vertex.  The
 induced graph keeps the restriction of the ambient vertex ranking, so
-normal forms agree letter for letter across the embedding.
+normal forms agree syllable for syllable across the embedding.
 
 Works over lazy ambient graphs too, as long as the subset itself is
 finite.  Infinite subsets would need a closure argument we cannot check

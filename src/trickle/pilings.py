@@ -186,8 +186,7 @@ class GroupElement:
         return GroupElement(self.graph, normalize(self.graph, self.piling + other.piling))
 
     def inverse(self):
-        letters = [(v, -e) for v, e in reversed(nf_letters(self.graph, self.piling))]
-        return from_syllables(self.graph, letters)
+        return from_syllables(self.graph, [(v, -a) for v, a in reversed(self.nf())])
 
     def __pow__(self, k: int):
         base = self if k >= 0 else self.inverse()
@@ -205,7 +204,7 @@ class GroupElement:
         return hash((id(self.graph), self.piling))
 
     def nf(self):
-        """Normal-form word as a list of (vertex, +1 | -1) letters."""
+        """Normal-form word as a list of (vertex, exponent) syllables."""
         return nf_letters(self.graph, self.piling)
 
     def nf_str(self) -> str:
@@ -221,14 +220,6 @@ def equal(g: GroupElement, h: GroupElement) -> bool:
     return g.piling == h.piling
 
 
-def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g * h
-
-
-def invert(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
 def from_syllables(graph, pairs) -> GroupElement:
     """Element of the product of the given (vertex, exponent) powers."""
     strata = []
@@ -241,20 +232,9 @@ def from_syllables(graph, pairs) -> GroupElement:
     return GroupElement(graph, normalize(graph, tuple(strata)))
 
 
-def from_word(graph, letters) -> GroupElement:
-    """Element of a word over the vertices and their inverses."""
-    return from_syllables(graph, letters)
-
-
 def nf_letters(graph, piling):
-    out = []
-    for U in piling:
-        for v, a in U:
-            if a < 0:
-                out.extend([(v, -1)] * (-a))
-            else:
-                out.extend([(v, 1)] * a)
-    return out
+    """The syllables of a piling, stratum by stratum."""
+    return [s for U in piling for s in U]
 
 
 # ----------------------------------------------------------------------
@@ -282,18 +262,12 @@ def parse_word(graph, text: str):
     return out
 
 
-def format_word(graph, letters) -> str:
-    """Render letters compactly, merging runs of one vertex and sign."""
+def format_word(graph, syllables) -> str:
+    """Render syllables as tokens v or v^k, one token per syllable."""
     toks = []
-    run_v, run_k = None, 0
-    for v, e in list(letters) + [(None, 0)]:
-        if v == run_v and (e > 0) == (run_k > 0):
-            run_k += e
-            continue
-        if run_v is not None and run_k != 0:
-            name = graph.format_vertex(run_v)
-            toks.append(name if run_k == 1 else f"{name}^{run_k}")
-        run_v, run_k = v, e
+    for v, a in syllables:
+        name = graph.format_vertex(v)
+        toks.append(name if a == 1 else f"{name}^{a}")
     return " ".join(toks)
 
 

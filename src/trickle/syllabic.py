@@ -21,8 +21,8 @@ when reduction does not shorten it.
 from __future__ import annotations
 
 from .graph import GraphError
-from .pilings import (GroupElement, canonical_exponent, from_syllables,
-                      make_syllable, normalize)
+from .pilings import canonical_exponent, make_syllable, nf_letters, normalize, parse_word
+from .pilings import format_word as format_syllabic
 
 DEFAULT_ORBIT_BOUND = 10 ** 5
 
@@ -32,31 +32,8 @@ class OrbitBoundExceeded(RuntimeError):
 
 
 def parse_syllabic(graph, text: str):
-    """Tokens v or v^k, one syllable per token."""
-    out = []
-    for tok in text.split():
-        name, caret, exp = tok.rpartition("^")
-        if caret:
-            try:
-                k = int(exp)
-            except ValueError:
-                raise GraphError(f"bad exponent in token {tok!r}") from None
-        else:
-            name, k = tok, 1
-        out.append(make_syllable(graph, graph.parse_vertex(name), k))
-    return tuple(out)
-
-
-def format_syllabic(graph, word) -> str:
-    toks = []
-    for v, a in word:
-        name = graph.format_vertex(v)
-        toks.append(name if a == 1 else f"{name}^{a}")
-    return " ".join(toks)
-
-
-def as_element(graph, word) -> GroupElement:
-    return from_syllables(graph, word)
+    """Tokens v or v^k, one syllable per token, exponents made canonical."""
+    return tuple(make_syllable(graph, v, k) for v, k in parse_word(graph, text))
 
 
 def apply_merge(graph, word, position):
@@ -86,10 +63,7 @@ def syllabic_reduce(graph, word):
     syllabic length of the element.
     """
     piling = normalize(graph, tuple(((v, a),) for v, a in word))
-    out = []
-    for U in piling:
-        out.extend(U)
-    return tuple(out)
+    return tuple(nf_letters(graph, piling))
 
 
 def is_syllabically_reduced(graph, word) -> bool:

@@ -80,10 +80,8 @@ def _descend(lo: Dyadic, hi: Dyadic, x: Dyadic):
         return x, Dyadic.mid(x, hi), k
     span = hi - lo
     d = hi - x
-    j = 0
     while span.half() > d:
         span = span.half()
-        j += 1
     return hi - span, hi - span.half(), None
 
 

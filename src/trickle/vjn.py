@@ -178,21 +178,20 @@ def vjn_encode(n: int, word) -> VjnElement:
 
     An interval generator contributes the kernel generator of its tuple
     translated by the permutation accumulated so far; a transposition
-    multiplies the permutation on the right.
+    multiplies the permutation on the right.  The kernel syllables are
+    normalized once, at the end.
     """
     if isinstance(word, str):
         word = parse_vjn_word(n, word)
-    graph = kjn_graph(n)
-    kernel = GroupElement.identity(graph)
+    sylls = []
     perm = perm_identity(n)
     for tok in word:
         if tok[0] == "r":
             perm = perm_mul(perm, transposition(n, tok[1]))
         else:
             _, p, q = tok
-            vertex = perm_apply_tuple(perm, tuple(range(p, q + 1)))
-            kernel = kernel * from_syllables(graph, [(vertex, 1)])
-    return VjnElement(kernel, perm)
+            sylls.append((perm_apply_tuple(perm, tuple(range(p, q + 1))), 1))
+    return VjnElement(from_syllables(kjn_graph(n), sylls), perm)
 
 
 def vjn_equal(n: int, w1, w2) -> bool:

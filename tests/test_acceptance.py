@@ -18,8 +18,7 @@ from trickle.families import (FIXTURES, cactus, cycle_graph, fixture,
 from trickle.graph import INFINITY, TrickleGraph, validate
 from trickle.parabolic import (downward_closure, intersect, is_parabolic,
                                member, parabolic_subgraph)
-from trickle.pilings import (GroupElement, from_syllables, from_word,
-                             is_finite, normalize)
+from trickle.pilings import GroupElement, from_syllables, is_finite, normalize
 from trickle.syllabic import exchange_connected, syllabic_reduce
 from trickle.thompson import TOP, evaluate_letters, f_graph, h_apply, h_apply_inv
 from trickle.vjn import jn_embedding_check, vjn_equal
@@ -102,7 +101,7 @@ def test_criterion_3_word_problem_soundness():
                 if g.rank(x) < g.rank(y) and g.edge(x, y):
                     lhs = [(g.phi(x, y), 1), (x, 1)]
                     rhs = [(g.phi(y, x), 1), (y, 1)]
-                    assert from_word(g, lhs) == from_word(g, rhs)
+                    assert from_syllables(g, lhs) == from_syllables(g, rhs)
                     relators.append(lhs + [(v, -e) for v, e in reversed(rhs)])
         for _ in range(770):
             word = random_word(g, rng, 6)
@@ -147,7 +146,7 @@ def test_criterion_4_finiteness_oracle():
     for _ in range(20):
         g = _random_valid_complete_graph(rng)
         answer = is_finite(g)
-        gens = [from_word(g, [(v, 1)]) for v in g.vertices]
+        gens = [from_syllables(g, [(v, 1)]) for v in g.vertices]
         elements = {GroupElement.identity(g)}
         frontier = list(elements)
         while frontier:
@@ -216,7 +215,7 @@ def test_criterion_6_parabolic():
         pool = sorted(X)
         for _ in range(100):
             word = [(rng.choice(pool), 1) for _ in range(rng.randrange(7))]
-            assert from_word(j4, word).nf() == from_word(inner, word).nf()
+            assert from_syllables(j4, word).nf() == from_syllables(inner, word).nf()
             words += 1
     crossings = 0
     for p1, p2 in itertools.combinations([parabolic_subgraph(j4, X) for X in subsets], 2):
@@ -236,7 +235,7 @@ def test_criterion_6_parabolic():
 
 def test_criterion_7_garside():
     g = fixture("GAR3")
-    atoms = {v: from_word(g, [(v, 1)]) for v in g.vertices}
+    atoms = {v: from_syllables(g, [(v, 1)]) for v in g.vertices}
     elements = {GroupElement.identity(g)}
     layer = set(elements)
     checked = 0

@@ -56,6 +56,11 @@ def test_nf_round_trips_through_eq(paths):
     run("eq", paths["j3"], "[1,2] [1,3]", word)
 
 
+def test_nf_keeps_large_exponents(paths):
+    out = run("nf", paths["gar3"], "x^99999999999 y")
+    assert out.splitlines()[1] == "nf: x^99999999999 y"
+
+
 def test_nf_order_override(paths):
     plain = run("nf", paths["gar3"], "y z")
     swapped = run("nf", paths["gar3"], "y z", "--order-override", "z,y,x")

@@ -7,7 +7,7 @@ from corrupt import broken_g
 from trickle import garside as gar
 from trickle.families import cactus, fixture, gar3, raag, path_graph
 from trickle.graph import GraphError, INFINITY, TrickleGraph
-from trickle.pilings import GroupElement, element_from_text, from_word
+from trickle.pilings import GroupElement, element_from_text, from_syllables
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +57,9 @@ def test_divides_against_bruteforce(g3):
     atoms = {v: elt(g3, v) for v in "xyz"}
     for length in range(5):
         for word in itertools.product("xyz", repeat=length):
-            g = from_word(g3, [(v, 1) for v in word])
+            g = from_syllables(g3, [(v, 1) for v in word])
             lefts = {v for v in "xyz"
-                     if any(atoms[v] * from_word(g3, [(w, 1) for w in rest]) == g
+                     if any(atoms[v] * from_syllables(g3, [(w, 1) for w in rest]) == g
                             for rest in itertools.product("xyz", repeat=max(length - 1, 0)))}
             assert gar.atom_left_divisors(g) == lefts
 
@@ -182,6 +182,25 @@ def test_theta_cube(g3):
     assert any(v.axiom == "cube-coherence" for v in report.violations)
 
 
+def _renamed(graph, old, new):
+    """The same graph with the vertex ``old`` called ``new``."""
+    def r(v):
+        return new if v == old else v
+    verts = graph.vertices
+    return TrickleGraph.build(
+        [r(v) for v in verts], {r(v): graph.mu(v) for v in verts},
+        [(r(x), r(y)) for i, x in enumerate(verts) for y in verts[i + 1:]
+         if graph.edge(x, y)],
+        [(r(x), r(y)) for x in verts for y in verts if graph.less(x, y)],
+        {r(x): {r(y): r(graph.phi(x, y)) for y in graph.star(x)} for x in verts})
+
+
+@pytest.mark.parametrize("name, vertex", [("RAAG-P6", "v1"), ("J3", "[1,2]")])
+def test_theta_cube_allows_a_vertex_named_empty(name, vertex):
+    # the empty string is a vertex here, not the trivial word
+    assert gar.theta_cube_check(_renamed(fixture(name), vertex, "")).violations == []
+
+
 def test_is_garside(g3):
     assert gar.is_garside(g3)
     assert not gar.is_garside(raag(*path_graph(3)))
@@ -199,8 +218,8 @@ def test_monoid_embedding(g3):
         for _ in range(150):
             w1 = [(rng.choice(g.vertices), 1) for _ in range(rng.randrange(6))]
             w2 = [(rng.choice(g.vertices), 1) for _ in range(rng.randrange(6))]
-            positive_eq = from_word(g, w1).piling == from_word(g, w2).piling
-            group_eq = (from_word(g, w1) * from_word(g, w2).inverse()).is_identity
+            positive_eq = from_syllables(g, w1).piling == from_syllables(g, w2).piling
+            group_eq = (from_syllables(g, w1) * from_syllables(g, w2).inverse()).is_identity
             assert positive_eq == group_eq
 
 
@@ -210,7 +229,7 @@ def test_torsion_spot_check(g3):
     while done < 60:
         word = [(rng.choice(g3.vertices), rng.choice([-2, -1, 1, 2]))
                 for _ in range(rng.randrange(1, 5))]
-        g = from_word(g3, word)
+        g = from_syllables(g3, word)
         if g.is_identity:
             continue
         done += 1
@@ -226,7 +245,7 @@ def test_parabolic_positive_membership(g3):
     for _ in range(120):
         word = [(rng.choice(g3.vertices), rng.choice([-1, 1]))
                 for _ in range(rng.randrange(5))]
-        g = from_word(g3, word)
+        g = from_syllables(g3, word)
         in_both = member(g, sub) and gar.is_positive(g)
         letters = g.nf()
         assert in_both == all(v in {"y", "z"} and e > 0 for v, e in letters)

@@ -8,7 +8,7 @@ from corrupt import BROKEN
 from trickle.dyadic import Dyadic
 from trickle.families import (affine_quandle_graph, cactus, dual_cactus_s3,
                               fixture, gar3, FIXTURES)
-from trickle.graph import GraphError, INFINITY, TrickleGraph, dual_graph, spot_check, validate
+from trickle.graph import GraphError, INFINITY, TrickleGraph, spot_check, validate
 from trickle.thompson import TOP, f_graph
 
 
@@ -120,16 +120,16 @@ def test_phi_pow_exchange_identity_on_chains():
 
 def test_dual_involution():
     g = gar3()
-    assert dual_graph(dual_graph(g)).same_structure(g)
+    assert g.dual().dual().same_structure(g)
 
 
 def test_dual_of_involutive_maps_is_itself():
     j3 = cactus(3)
-    assert dual_graph(j3).same_structure(j3)
+    assert j3.dual().same_structure(j3)
 
 
 def test_dual_cstar_inverts_the_cycle():
-    d = dual_graph(dual_cactus_s3())
+    d = dual_cactus_s3().dual()
     assert d.phi("u", "x") == "z"
     assert d.phi("u", "z") == "y"
     assert d.phi("u", "y") == "x"

@@ -7,7 +7,7 @@ from trickle.families import cactus
 from trickle.graph import GraphError
 from trickle.parabolic import (ParabolicSubgraph, downward_closure, intersect,
                                is_parabolic, member, parabolic_subgraph)
-from trickle.pilings import element_from_text, from_word
+from trickle.pilings import element_from_text, from_syllables
 from trickle.thompson import f_graph
 
 A, B, C = "[1,3]", "[1,2]", "[2,3]"
@@ -76,7 +76,7 @@ def test_conservativity_of_normal_forms(j4):
     pool = sorted(X)
     for _ in range(200):
         word = [(rng.choice(pool), 1) for _ in range(rng.randrange(7))]
-        assert from_word(j4, word).nf() == from_word(inner, word).nf()
+        assert from_syllables(j4, word).nf() == from_syllables(inner, word).nf()
 
 
 def test_subgroup_injectivity(j4):
@@ -88,8 +88,8 @@ def test_subgroup_injectivity(j4):
     elements = {}
     for _ in range(150):
         word = [(rng.choice(pool), 1) for _ in range(rng.randrange(6))]
-        inside = from_word(inner, word)
-        outside = from_word(j4, word)
+        inside = from_syllables(inner, word)
+        outside = from_syllables(j4, word)
         if inside in elements:
             assert elements[inside] == outside
         else:
@@ -104,7 +104,7 @@ def test_membership_meets_intersection(j4):
     both = intersect(p1, p2)
     for _ in range(200):
         word = [(rng.choice(j4.vertices), 1) for _ in range(rng.randrange(6))]
-        g = from_word(j4, word)
+        g = from_syllables(j4, word)
         assert (member(g, p1) and member(g, p2)) == member(g, both)
 
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
 from trickle.graph import GraphError, INFINITY, TrickleGraph
+from trickle.garside import letter_length
 from trickle.pilings import (GroupElement, element_from_text,
-                             from_syllables, from_word, is_finite,
+                             from_syllables, is_finite,
                              make_stratum, parse_word, normalize,
                              push_syllable, stratum_add, stratum_can_add,
                              stratum_extract, stratum_remove)
@@ -128,11 +129,11 @@ def test_normalize_drops_empty_strata(j3):
 
 
 def test_from_word_examples(j3, g3):
-    assert from_word(j3, [(A, 1), (B, 1)]).piling == (strat(j3, (A, 1), (B, 1)),)
-    assert from_word(j3, [(A, 1)] * 3).piling == (strat(j3, (A, 1)),)
-    assert from_word(g3, [("x", 1), ("y", 1)]).piling == (strat(g3, ("x", 1), ("y", 1)),)
+    assert from_syllables(j3, [(A, 1), (B, 1)]).piling == (strat(j3, (A, 1), (B, 1)),)
+    assert from_syllables(j3, [(A, 1)] * 3).piling == (strat(j3, (A, 1)),)
+    assert from_syllables(g3, [("x", 1), ("y", 1)]).piling == (strat(g3, ("x", 1), ("y", 1)),)
     with pytest.raises(GraphError):
-        from_word(j3, [("nope", 1)])
+        from_syllables(j3, [("nope", 1)])
 
 
 def test_nf_examples(j3, g3):
@@ -148,7 +149,7 @@ def test_group_ops(j3, g3):
     j4 = cactus(4)
     for _ in range(25):
         word = [(rng.choice(j4.vertices), 1) for _ in range(rng.randrange(8))]
-        g = from_word(j4, word)
+        g = from_syllables(j4, word)
         assert (g * g.inverse()).is_identity
         assert (g.inverse() * g).is_identity
 
@@ -179,7 +180,7 @@ def test_finite_order_matches_element_count():
     k2 = TrickleGraph.build(["x", "y"], {"x": 2, "y": 3}, [("x", "y")], [("y", "x")])
     elements = {GroupElement.identity(k2)}
     frontier = list(elements)
-    gens = [from_word(k2, [(v, 1)]) for v in k2.vertices]
+    gens = [from_syllables(k2, [(v, 1)]) for v in k2.vertices]
     while frontier:
         nxt = []
         for g in frontier:
@@ -220,7 +221,7 @@ def test_nf_round_trip_random(pairs):
     g = gar3()
     elt = from_syllables(g, pairs)
     assert element_from_text(g, elt.nf_str()) == elt
-    assert from_word(g, elt.nf()) == elt
+    assert from_syllables(g, elt.nf()) == elt
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +237,8 @@ def test_defining_relations_hold(name):
             assert from_syllables(g, [(x, 1)] * m).is_identity
         for y in g.vertices:
             if g.rank(x) < g.rank(y) and g.edge(x, y):
-                lhs = from_word(g, [(g.phi(x, y), 1), (x, 1)])
-                rhs = from_word(g, [(g.phi(y, x), 1), (y, 1)])
+                lhs = from_syllables(g, [(g.phi(x, y), 1), (x, 1)])
+                rhs = from_syllables(g, [(g.phi(y, x), 1), (y, 1)])
                 assert lhs == rhs
 
 
@@ -257,10 +258,10 @@ def test_nf_stable_under_relation_insertion(j3):
     relators = _relator_words(j3)
     for _ in range(300):
         word = [(rng.choice(j3.vertices), 1) for _ in range(rng.randrange(7))]
-        base = from_word(j3, word)
+        base = from_syllables(j3, word)
         cut = rng.randrange(len(word) + 1)
         stuffed = word[:cut] + rng.choice(relators) + word[cut:]
-        assert from_word(j3, stuffed) == base
+        assert from_syllables(j3, stuffed) == base
 
 
 def _relator_words(g):
@@ -280,4 +281,4 @@ def test_letter_length_is_homogeneous_without_inverses():
     rng = random.Random(3)
     for _ in range(100):
         word = [(rng.choice(g.vertices), 1) for _ in range(rng.randrange(9))]
-        assert len(from_word(g, word).nf()) == len(word)
+        assert letter_length(from_syllables(g, word)) == len(word)

@@ -4,8 +4,9 @@ import pytest
 
 from trickle.families import cactus, gar3
 from trickle.graph import GraphError
+from trickle.pilings import from_syllables
 from trickle.syllabic import (OrbitBoundExceeded, apply_exchange, apply_merge,
-                              as_element, exchange_connected, format_syllabic,
+                              exchange_connected, format_syllabic,
                               is_syllabically_reduced, parse_syllabic,
                               syllabic_reduce)
 
@@ -43,16 +44,16 @@ def test_moves_preserve_the_element(j3, g3):
     for g in (j3, g3):
         for _ in range(80):
             word = _random_word(g, rng, 6)
-            elt = as_element(g, word)
+            elt = from_syllables(g, word)
             for i in range(len(word) - 1):
                 x, y = word[i][0], word[i + 1][0]
                 if x == y:
                     merged = apply_merge(g, word, i)
-                    assert as_element(g, merged) == elt
+                    assert from_syllables(g, merged) == elt
                     assert len(merged) < len(word)
                 elif g.edge(x, y):
                     moved = apply_exchange(g, word, i)
-                    assert as_element(g, moved) == elt
+                    assert from_syllables(g, moved) == elt
                     assert len(moved) == len(word)
                     assert apply_exchange(g, moved, i) == word  # reversible
 
@@ -111,7 +112,7 @@ def test_cross_validation_against_pilings(j3, g3):
             w2 = _random_word(g, rng, 5)
             if rng.random() < 0.4 and w1:
                 w2 = _shuffle_by_relations(g, rng, w1)
-            same_elt = as_element(g, w1) == as_element(g, w2)
+            same_elt = from_syllables(g, w1) == from_syllables(g, w2)
             r1, r2 = syllabic_reduce(g, w1), syllabic_reduce(g, w2)
             same_tits = (len(r1) == len(r2)
                          and exchange_connected(g, r1, r2, bound=10 ** 4))
@@ -136,7 +137,7 @@ def test_orbit_words_map_to_one_element(j3):
     rng = random.Random(4)
     for _ in range(40):
         word = syllabic_reduce(j3, _random_word(j3, rng, 5))
-        elt = as_element(j3, word)
+        elt = from_syllables(j3, word)
         seen = {word}
         frontier = [word]
         while frontier:
@@ -149,7 +150,7 @@ def test_orbit_words_map_to_one_element(j3):
                             seen.add(m)
                             nxt.append(m)
             frontier = nxt
-        assert all(as_element(j3, w) == elt for w in seen)
+        assert all(from_syllables(j3, w) == elt for w in seen)
 
 
 def test_parse_and_format(g3):
