@@ -8,10 +8,12 @@ asked (bounds and sample counts are flags).
 
 import argparse
 import random
+import sys
 import time
 
 from trickle import confluence as conf
 from trickle.families import FIXTURES, fixture
+from trickle.graph import GraphError
 
 
 def main():
@@ -29,14 +31,18 @@ def main():
           f"{'divergent':>9} {'seconds':>8}")
     bad = 0
     for name in names:
-        g = fixture(name)
-        t0 = time.time()
-        pairs = conf.check_critical_pairs(g, args.max_support, args.max_exp)
-        sampled = conf.check_strategy_independence(
-            g, random.Random(args.seed), pilings=args.samples,
-            strategies=args.strategies, max_support=args.max_support,
-            max_exp=args.max_exp)
-        dt = time.time() - t0
+        try:
+            g = fixture(name)
+            t0 = time.perf_counter()
+            pairs = conf.check_critical_pairs(g, args.max_support, args.max_exp)
+            sampled = conf.check_strategy_independence(
+                g, random.Random(args.seed), pilings=args.samples,
+                strategies=args.strategies, max_support=args.max_support,
+                max_exp=args.max_exp)
+        except GraphError as e:
+            print(f"error: {e}", file=sys.stderr)
+            raise SystemExit(2)
+        dt = time.perf_counter() - t0
         print(f"{name:10} {pairs.pairs_checked:>10} {len(pairs.failures):>10} "
               f"{sampled.samples_checked:>8} {len(sampled.sample_failures):>9} "
               f"{dt:>8.1f}")

@@ -13,11 +13,13 @@ Neither check proves confluence for unbounded exponents; together they
 exercise every branch of the resolution case analysis at desk scale and
 reliably expose corrupted star maps with an explicit witness.
 
-Resolution reduces each successor with concrete rewriting sequences
-(pairwise products of irreducible pilings), so a False answer always
-comes with two distinct irreducible forms as evidence.  The enumeration
-is embarrassingly parallel; ``check_critical_pairs`` accepts a shard
-index so callers can split the work across processes.
+The overlaps are enumerated once, as work units (``_units``) that
+``enumerate_critical_pairs`` expands into pairs and ``check_critical_pairs``
+evaluates on interned pilings with memoized products.  ``resolve`` and the
+failure witnesses reduce the same two successors, so a False answer always
+comes with two distinct irreducible forms as evidence.  The work units are
+embarrassingly parallel; ``check_critical_pairs`` accepts a shard index so
+callers can split them across processes.
 """
 
 from __future__ import annotations
@@ -45,10 +47,17 @@ def exponent_range(graph, v, max_exp):
     return list(range(1, m))
 
 
+def _check_bounds(max_support, max_exp):
+    if max_support < 1 or max_exp < 1:
+        raise GraphError(f"max_support and max_exp must be at least 1, "
+                         f"got {max_support} and {max_exp}")
+
+
 def enumerate_strata(graph, max_support, max_exp, include_empty=True):
     """All strata with support size and exponent magnitude within bounds."""
     if not graph.finite:
         raise GraphError("stratum enumeration needs a finite graph")
+    _check_bounds(max_support, max_exp)
     verts = list(graph.vertices)
     cliques = []
 
@@ -68,48 +77,55 @@ def enumerate_strata(graph, max_support, max_exp, include_empty=True):
     return out
 
 
-def _movers(graph, V):
-    """(syllable, extracted syllable) pairs for each member of V."""
-    return [(s, stratum_extract(graph, V, s)) for s in V]
+def _units(graph, max_support, max_exp):
+    """Every overlap within the bounds, once, grouped into work units.
 
+    ``("C1", W)`` covers every member of W; ``("C3", U, V, (y, gy), (z, gz))``
+    is one overlap; in ``("C2", V, incoming, heads)`` each head ``(y, gy, U)``
+    is one unit, paired with every ``(W, z, gz)`` of ``incoming``.  ``gy`` is
+    y extracted from its stratum: the syllable that lands.
+    """
+    strata = enumerate_strata(graph, max_support, max_exp)
+    nonempty = [U for U in strata if U]
+    movers = {V: [(s, stratum_extract(graph, V, s)) for s in V] for V in nonempty}
+    addable = {v: [U for U in strata if stratum_can_add(graph, U, (v, 1))]
+               for v in graph.vertices}
 
-def _addable_index(graph, strata):
-    """vertex -> list of strata the vertex can be added to."""
-    index = {v: [] for v in graph.vertices}
-    for U in strata:
-        for v in graph.vertices:
-            if stratum_can_add(graph, U, (v, 1)):
-                index[v].append(U)
-    return index
+    for W in nonempty:
+        yield ("C1", W)
+
+    for V in nonempty:
+        for (y, gy), (z, gz) in itertools.combinations(movers[V], 2):
+            for U in strata:
+                if stratum_can_add(graph, U, gy) and stratum_can_add(graph, U, gz):
+                    yield ("C3", U, V, (y, gy), (z, gz))
+
+    wz_by_vertex = {v: [] for v in graph.vertices}
+    for W in nonempty:
+        for z, gz in movers[W]:
+            wz_by_vertex[gz[0]].append((W, z, gz))
+    for V in nonempty:
+        incoming = [wz for v in graph.vertices if stratum_can_add(graph, V, (v, 1))
+                    for wz in wz_by_vertex[v]]
+        if incoming:
+            heads = [(y, gy, U) for y, gy in movers[V] for U in addable[gy[0]]]
+            yield ("C2", V, incoming, heads)
 
 
 def enumerate_critical_pairs(graph, max_support=3, max_exp=2):
     """Yield every overlap within the bounds (finite mu: full residue range)."""
-    strata = enumerate_strata(graph, max_support, max_exp)
-    nonempty = [U for U in strata if U]
-    addable = _addable_index(graph, strata)
-
-    for W in nonempty:
-        for s in W:
-            yield CriticalPair("C1", (W,), (s,))
-
-    for V in nonempty:
-        movers = _movers(graph, V)
-        for (y, gy), (z, gz) in itertools.combinations(movers, 2):
-            for U in strata:
-                if stratum_can_add(graph, U, gy) and stratum_can_add(graph, U, gz):
-                    yield CriticalPair("C3", (U, V), (y, z))
-
-    wz_by_vertex = {v: [] for v in graph.vertices}
-    for W in nonempty:
-        for z, gz in _movers(graph, W):
-            wz_by_vertex[gz[0]].append((W, z))
-    for V in nonempty:
-        landing = [v for v in graph.vertices if stratum_can_add(graph, V, (v, 1))]
-        incoming = [wz for v in landing for wz in wz_by_vertex[v]]
-        for y, gy in _movers(graph, V):
-            for U in addable[gy[0]]:
-                for W, z in incoming:
+    for unit in _units(graph, max_support, max_exp):
+        if unit[0] == "C1":
+            W = unit[1]
+            for s in W:
+                yield CriticalPair("C1", (W,), (s,))
+        elif unit[0] == "C3":
+            _, U, V, (y, _), (z, _) = unit
+            yield CriticalPair("C3", (U, V), (y, z))
+        else:
+            _, V, incoming, heads = unit
+            for y, _, U in heads:
+                for W, z, _ in incoming:
                     yield CriticalPair("C2", (U, V, W), (y, z))
 
 
@@ -141,45 +157,50 @@ class _Reducer:
             self._mult[key] = out
         return out
 
-    def piling(self, i):
-        return self._pilings[i]
+    def reduce(self, piling):
+        """Id of the irreducible form of ``piling``, multiplying left to right."""
+        i = 0
+        for U in piling:
+            i = self.mult(i, self.of_stratum(U))
+        return i
 
 
-def resolve(graph, pair: CriticalPair, _reducer=None) -> bool:
+def _successors(graph, pair: CriticalPair):
+    """The two pilings one rewrite away from the overlap, or None.
+
+    C1 is ``((), W)`` erasing its empty stratum or pushing s out of W;
+    C3 is ``(U, V)`` pushing y or z out of V; C2 is ``(U, V, W)`` pushing
+    y out of V or z out of W.  None when one side cannot actually move.
+    """
+    case = pair.case
+    if case == "C1":
+        (W,), (s,) = pair.strata, pair.syllables
+        t = push_syllable(graph, (), W, s)
+        return None if t is None else (t, (W,))
+    if case == "C3":
+        (U, V), (y, z) = pair.strata, pair.syllables
+        t1, t2 = push_syllable(graph, U, V, y), push_syllable(graph, U, V, z)
+        return None if t1 is None or t2 is None else (t1, t2)
+    if case == "C2":
+        (U, V, W), (y, z) = pair.strata, pair.syllables
+        t1, t2 = push_syllable(graph, U, V, y), push_syllable(graph, V, W, z)
+        return None if t1 is None or t2 is None else (t1 + (W,), (U,) + t2)
+    raise GraphError(f"unknown overlap case {case!r}")
+
+
+def resolve(graph, pair: CriticalPair) -> bool:
     """Do the two divergent successors of the overlap meet again?
 
     Each successor is reduced by a concrete maximal rewriting sequence;
     True means the irreducible results coincide.  Overlaps where one side
     cannot actually move are vacuously resolved.
     """
-    r = _reducer or _Reducer(graph)
-    case = pair.case
-    if case == "C1":
-        (W,), (s,) = pair.strata, pair.syllables
-        t = push_syllable(graph, (), W, s)
-        if t is None:
-            return True
-        left = r.mult(r.of_stratum(t[0]), r.of_stratum(t[1]))
-        return left == r.of_stratum(W)
-    if case == "C3":
-        (U, V), (y, z) = pair.strata, pair.syllables
-        t1 = push_syllable(graph, U, V, y)
-        t2 = push_syllable(graph, U, V, z)
-        if t1 is None or t2 is None:
-            return True
-        a = r.mult(r.of_stratum(t1[0]), r.of_stratum(t1[1]))
-        b = r.mult(r.of_stratum(t2[0]), r.of_stratum(t2[1]))
-        return a == b
-    if case == "C2":
-        (U, V, W), (y, z) = pair.strata, pair.syllables
-        t1 = push_syllable(graph, U, V, y)
-        t2 = push_syllable(graph, V, W, z)
-        if t1 is None or t2 is None:
-            return True
-        left = r.mult(r.mult(r.of_stratum(t1[0]), r.of_stratum(t1[1])), r.of_stratum(W))
-        right = r.mult(r.mult(r.of_stratum(U), r.of_stratum(t2[0])), r.of_stratum(t2[1]))
-        return left == right
-    raise GraphError(f"unknown overlap case {case!r}")
+    successors = _successors(graph, pair)
+    if successors is None:
+        return True
+    r = _Reducer(graph)
+    left, right = (r.reduce(p) for p in successors)
+    return left == right
 
 
 @dataclass
@@ -214,103 +235,63 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
                          shard=0, shards=1) -> ConfluenceReport:
     """Resolve every enumerated overlap, collecting failures with evidence.
 
-    Same pairs and same resolution route as ``resolve`` over
-    ``enumerate_critical_pairs``, but fused so that push results are
-    computed once per work unit; only memoized product lookups remain in
-    the hot loop.  ``shard``/``shards`` split the work units
-    deterministically, so the shard reports partition the full check.
+    Consumes the work units that ``enumerate_critical_pairs`` expands and
+    reaches the verdicts of ``resolve``, but evaluates each unit on interned
+    strata: a unit's pushes are computed once, the C2 incoming strata
+    once per middle stratum, and only memoized product lookups remain
+    in the hot loop.  A failure's witness is the irreducible form of
+    each of its two successors.  ``shard``/``shards`` deal the work units
+    out round-robin, so the shard reports partition the full check.
     """
     report = ConfluenceReport()
     r = _Reducer(graph)
-    mult = r.mult
-    strata = enumerate_strata(graph, max_support, max_exp)
-    nonempty = [U for U in strata if U]
-    addable = _addable_index(graph, strata)
+    mult, of = r.mult, r.of_stratum
     unit = itertools.count()
 
     def mine():
         return next(unit) % shards == shard
 
     def record(pair):
-        report.failures.append((pair, *_divergent_forms(graph, pair)))
+        report.failures.append((pair, *(normalize(graph, p) for p in _successors(graph, pair))))
         return len(report.failures) >= fail_limit
 
-    for W in nonempty:
-        if not mine():
-            continue
-        iW = r.of_stratum(W)
-        for s in W:
+    for u in _units(graph, max_support, max_exp):
+        if u[0] == "C1":
+            W = u[1]
+            if not mine():
+                continue
+            iW = of(W)
+            for s in W:
+                report.pairs_checked += 1
+                t = push_syllable(graph, (), W, s)
+                if mult(of(t[0]), of(t[1])) != iW:
+                    if record(CriticalPair("C1", (W,), (s,))):
+                        return report
+        elif u[0] == "C3":
+            _, U, V, (y, gy), (z, gz) = u
+            if not mine():
+                continue
             report.pairs_checked += 1
-            t = push_syllable(graph, (), W, s)
-            if mult(r.of_stratum(t[0]), r.of_stratum(t[1])) != iW:
-                if record(CriticalPair("C1", (W,), (s,))):
+            a = mult(of(stratum_add(graph, U, gy)), of(stratum_remove(V, y)))
+            b = mult(of(stratum_add(graph, U, gz)), of(stratum_remove(V, z)))
+            if a != b:
+                if record(CriticalPair("C3", (U, V), (y, z))):
                     return report
-
-    for V in nonempty:
-        movers = _movers(graph, V)
-        if len(movers) >= 2:
-            for (y, gy), (z, gz) in itertools.combinations(movers, 2):
-                for U in strata:
-                    if not (stratum_can_add(graph, U, gy) and stratum_can_add(graph, U, gz)):
-                        continue
-                    if not mine():
-                        continue
-                    report.pairs_checked += 1
-                    t1 = (stratum_add(graph, U, gy), stratum_remove(V, y))
-                    t2 = (stratum_add(graph, U, gz), stratum_remove(V, z))
-                    a = mult(r.of_stratum(t1[0]), r.of_stratum(t1[1]))
-                    b = mult(r.of_stratum(t2[0]), r.of_stratum(t2[1]))
-                    if a != b:
-                        if record(CriticalPair("C3", (U, V), (y, z))):
-                            return report
-
-    wz_by_vertex = {v: [] for v in graph.vertices}
-    for W in nonempty:
-        for z, gz in _movers(graph, W):
-            wz_by_vertex[gz[0]].append((W, z, gz))
-
-    for V in nonempty:
-        movers = _movers(graph, V)
-        landing = [v for v in graph.vertices if stratum_can_add(graph, V, (v, 1))]
-        incoming = []
-        for v in landing:
-            for W, z, gz in wz_by_vertex[v]:
-                iV2 = r.of_stratum(stratum_add(graph, V, gz))
-                iW2 = r.of_stratum(stratum_remove(W, z))
-                incoming.append((r.of_stratum(W), iV2, iW2, W, z))
-        if not incoming:
-            continue
-        for y, gy in movers:
-            iV1 = r.of_stratum(stratum_remove(V, y))
-            for U in addable[gy[0]]:
+        else:
+            _, V, incoming, heads = u
+            rhs = [(of(W), of(stratum_add(graph, V, gz)), of(stratum_remove(W, z)), W, z)
+                   for W, z, gz in incoming]
+            for y, gy, U in heads:
                 if not mine():
                     continue
-                a1 = mult(r.of_stratum(stratum_add(graph, U, gy)), iV1)
-                iU = r.of_stratum(U)
-                report.pairs_checked += len(incoming)
-                for iW, iV2, iW2, W, z in incoming:
+                a1 = mult(of(stratum_add(graph, U, gy)), of(stratum_remove(V, y)))
+                iU = of(U)
+                report.pairs_checked += len(rhs)
+                for iW, iV2, iW2, W, z in rhs:
                     if mult(a1, iW) != mult(mult(iU, iV2), iW2):
                         if record(CriticalPair("C2", (U, V, W), (y, z))):
                             return report
     return report
-
-
-def _divergent_forms(graph, pair):
-    """The two irreducible pilings witnessing an unresolved overlap."""
-    if pair.case == "C1":
-        (W,), (s,) = pair.strata, pair.syllables
-        t = push_syllable(graph, (), W, s)
-        return normalize(graph, t), (W,)
-    if pair.case == "C3":
-        (U, V), (y, z) = pair.strata, pair.syllables
-        t1 = push_syllable(graph, U, V, y)
-        t2 = push_syllable(graph, U, V, z)
-        return normalize(graph, t1), normalize(graph, t2)
-    (U, V, W), (y, z) = pair.strata, pair.syllables
-    t1 = push_syllable(graph, U, V, y)
-    t2 = push_syllable(graph, V, W, z)
-    return (normalize(graph, (t1[0], t1[1], W)),
-            normalize(graph, (U, t2[0], t2[1])))
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +300,7 @@ def _divergent_forms(graph, pair):
 
 def random_piling(graph, rng: random.Random, max_len=4, max_support=3, max_exp=2):
     """Random piling, possibly containing empty strata."""
+    _check_bounds(max_support, max_exp)
     strata = []
     for _ in range(rng.randrange(max_len + 1)):
         size = rng.randrange(max_support + 1)

@@ -385,12 +385,6 @@ class TrickleGraph:
             raise GraphError("rank needs a finite graph")
         return self._rank[v]
 
-    def prec(self, x, y) -> bool:
-        """Strict total order extending less."""
-        if self._finite:
-            return self._rank[x] < self._rank[y]
-        return x != y and self._less_fn(x, y)
-
     def complete(self) -> bool:
         if not self._finite:
             raise GraphError("completeness check needs a finite graph")

@@ -17,6 +17,8 @@ def paths(tmp_path_factory):
     out["j3"].write_text(dump_graph(cactus(3)))
     out["gar3"] = base / "gar3.json"
     out["gar3"].write_text(dump_graph(gar3()))
+    out["j4"] = base / "j4.json"
+    out["j4"].write_text(dump_graph(cactus(4)))
     out["cstar"] = base / "cstar.json"
     out["cstar"].write_text(dump_graph(dual_cactus_s3()))
     k2 = TrickleGraph.build(["x", "y"], {"x": 2, "y": 3}, [("x", "y")], [("y", "x")])
@@ -118,6 +120,17 @@ def test_confluence_failure(tmp_path):
                                        "--max-exp", "1"])
     assert result.exit_code == 1
     assert "unresolved" in result.output
+
+
+@pytest.mark.parametrize("graph, bound", [
+    ("gar3", ["--max-exp", "0"]),
+    ("gar3", ["--max-support=-1"]),
+    ("j4", ["--max-support", "0"]),
+], ids=["max-exp-0", "max-support-negative", "max-support-0"])
+def test_confluence_rejects_bounds_below_one(paths, graph, bound):
+    out = run("confluence", paths[graph], *bound, code=2)
+    assert len(out.splitlines()) == 1
+    assert out.startswith("error: max_support and max_exp must be at least 1")
 
 
 def test_example_emission_parses_back(tmp_path):

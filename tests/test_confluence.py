@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
-from corrupt import broken_g
+import pytest
+
+from corrupt import broken_d, broken_e, broken_f, broken_g
 from trickle import confluence as conf
 from trickle.families import cactus, dual_cactus_s3, gar3
 from trickle.pilings import make_stratum, normalize
@@ -68,6 +71,22 @@ def test_sharding_partitions_the_check():
     full = conf.check_critical_pairs(cs, 3, 2)
     parts = [conf.check_critical_pairs(cs, 3, 2, shard=i, shards=3) for i in range(3)]
     assert sum(p.pairs_checked for p in parts) == full.pairs_checked
+
+
+@pytest.mark.parametrize("make, bounds", [
+    (broken_d, (2, 1)), (broken_e, (2, 1)), (broken_e, (3, 2)),
+    (broken_f, (2, 1)), (broken_f, (3, 2)),
+])
+def test_fused_check_fails_exactly_the_unresolved_pairs(make, bounds):
+    g = make()
+    unresolved = [p for p in conf.enumerate_critical_pairs(g, *bounds) if not conf.resolve(g, p)]
+    limit = len(unresolved) + 1
+    report = conf.check_critical_pairs(g, *bounds, fail_limit=limit)
+    assert [pair for pair, _, _ in report.failures] == unresolved
+    assert all(left != right for _, left, right in report.failures)
+    parts = [conf.check_critical_pairs(g, *bounds, fail_limit=limit, shard=i, shards=3)
+             for i in range(3)]
+    assert Counter(f for part in parts for f in part.failures) == Counter(report.failures)
 
 
 def test_corrupted_graph_fails_with_witness():
