@@ -14,7 +14,7 @@ import click
 
 from . import confluence as conf
 from . import families, garside, jsonio, parabolic, syllabic, thompson, vjn
-from .graph import GraphError, validate as validate_graph
+from .graph import validate as validate_graph
 from .pilings import element_from_text, is_finite
 
 NEGATIVE = 1
@@ -52,7 +52,20 @@ def _ranking_line(graph):
     return "ranking: " + " ".join(graph.format_vertex(v) for v in graph.vertices)
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """Every command runs inside ``invoke``, nested groups included, so this
+    one handler turns any input error (``GraphError`` is a ``ValueError``)
+    into a single ``error:`` line and exit 2.  Other exceptions are bugs and
+    keep their traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as e:
+            _fail(e)
+
+
+@click.group(cls=_ErrorBoundary)
 def main():
     """Word problem, normal forms, and divisibility over trickle graphs."""
 
@@ -61,11 +74,7 @@ def main():
 @click.argument("graph_path")
 def validate_cmd(graph_path):
     """Check the axioms of a graph file, printing witnesses."""
-    try:
-        g = _load(graph_path)
-        report = validate_graph(g)
-    except GraphError as e:
-        _fail(e)
+    report = validate_graph(_load(graph_path))
     click.echo(report.describe())
     sys.exit(0 if report.ok else USAGE)
 
@@ -77,11 +86,8 @@ def validate_cmd(graph_path):
               help="comma-separated vertex ranking to use for normal forms")
 def nf_cmd(graph_path, word, order_override):
     """Normal form of a word."""
-    try:
-        g = _load(graph_path, order_override)
-        elt = element_from_text(g, word)
-    except GraphError as e:
-        _fail(e)
+    g = _load(graph_path, order_override)
+    elt = element_from_text(g, word)
     click.echo(_ranking_line(g))
     click.echo("nf: " + (elt.nf_str() or "(identity)"))
 
@@ -93,11 +99,8 @@ def nf_cmd(graph_path, word, order_override):
 @click.option("--order-override", default=None)
 def eq_cmd(graph_path, word1, word2, order_override):
     """Are two words equal in the group?"""
-    try:
-        g = _load(graph_path, order_override)
-        same = element_from_text(g, word1) == element_from_text(g, word2)
-    except GraphError as e:
-        _fail(e)
+    g = _load(graph_path, order_override)
+    same = element_from_text(g, word1) == element_from_text(g, word2)
     click.echo("equal" if same else "not equal")
     sys.exit(0 if same else NEGATIVE)
 
@@ -106,11 +109,7 @@ def eq_cmd(graph_path, word1, word2, order_override):
 @click.argument("graph_path")
 def order_cmd(graph_path):
     """Group order: finite with its size, or infinite with the reason."""
-    try:
-        answer = is_finite(_load(graph_path))
-    except GraphError as e:
-        _fail(e)
-    click.echo(str(answer))
+    click.echo(str(is_finite(_load(graph_path))))
 
 
 @main.command("member")
@@ -119,12 +118,9 @@ def order_cmd(graph_path):
 @click.option("--vertices", required=True, help="comma-separated parabolic subset")
 def member_cmd(graph_path, word, vertices):
     """Does the word lie in the standard parabolic subgroup?"""
-    try:
-        g = _load(graph_path)
-        sub = parabolic.parabolic_subgraph(g, _split_list(vertices))
-        inside = parabolic.member(element_from_text(g, word), sub)
-    except GraphError as e:
-        _fail(e)
+    g = _load(graph_path)
+    sub = parabolic.parabolic_subgraph(g, _split_list(vertices))
+    inside = parabolic.member(element_from_text(g, word), sub)
     click.echo("member" if inside else "not a member")
     sys.exit(0 if inside else NEGATIVE)
 
@@ -134,11 +130,8 @@ def member_cmd(graph_path, word, vertices):
 @click.argument("word")
 def tits_reduce_cmd(graph_path, word):
     """Shortest syllabic word for the element of a syllabic word."""
-    try:
-        g = _load(graph_path)
-        reduced = syllabic.syllabic_reduce(g, syllabic.parse_syllabic(g, word))
-    except GraphError as e:
-        _fail(e)
+    g = _load(graph_path)
+    reduced = syllabic.syllabic_reduce(g, syllabic.parse_syllabic(g, word))
     click.echo(syllabic.format_syllabic(g, reduced) or "(identity)")
 
 
@@ -146,17 +139,14 @@ def tits_reduce_cmd(graph_path, word):
 @click.argument("graph_path")
 def garside_cmd(graph_path):
     """Garside data of a torsion-free graph."""
-    try:
-        g = _load(graph_path)
-        if not garside.is_pregarside(g):
-            _fail("the graph has finite labels; no positive-monoid structure")
-        if not garside.is_garside(g):
-            click.echo("not Garside: the graph is not finite and complete")
-            sys.exit(NEGATIVE)
-        delta = garside.garside_element(g)
-        sf = garside.square_free(g)
-    except GraphError as e:
-        _fail(e)
+    g = _load(graph_path)
+    if not garside.is_pregarside(g):
+        _fail("the graph has finite labels; no positive-monoid structure")
+    if not garside.is_garside(g):
+        click.echo("not Garside: the graph is not finite and complete")
+        sys.exit(NEGATIVE)
+    delta = garside.garside_element(g)
+    sf = garside.square_free(g)
     click.echo("Garside")
     click.echo(f"delta: {delta.nf_str()}")
     click.echo(f"square-free elements: {len(sf)}")
@@ -168,15 +158,12 @@ def garside_cmd(graph_path):
 @click.option("--side", type=click.Choice(["left", "right"]), default="left")
 def divisors_cmd(graph_path, word, side):
     """Vertices dividing a positive element on the chosen side."""
-    try:
-        g = _load(graph_path)
-        elt = element_from_text(g, word)
-        if side == "left":
-            divs = garside.atom_left_divisors(elt)
-        else:
-            divs = garside.atom_right_divisors(elt)
-    except GraphError as e:
-        _fail(e)
+    g = _load(graph_path)
+    elt = element_from_text(g, word)
+    if side == "left":
+        divs = garside.atom_left_divisors(elt)
+    else:
+        divs = garside.atom_right_divisors(elt)
     click.echo(" ".join(sorted(g.format_vertex(v) for v in divs)) or "(none)")
 
 
@@ -185,15 +172,7 @@ def divisors_cmd(graph_path, word, side):
 @click.option("--atoms", required=True, help="comma-separated vertex set")
 def lcm_cmd(graph_path, atoms):
     """Least common multiple of a set of vertices (finite complete graphs)."""
-    try:
-        g = _load(graph_path)
-        X = _split_list(atoms)
-        for v in X:
-            if not g.contains_vertex(v):
-                raise GraphError(f"unknown vertex {v!r}")
-        elt = garside.lcm_atoms(g, X)
-    except GraphError as e:
-        _fail(e)
+    elt = garside.lcm_atoms(_load(graph_path), _split_list(atoms))
     click.echo(elt.nf_str() or "(identity)")
 
 
@@ -206,14 +185,11 @@ def lcm_cmd(graph_path, atoms):
 @click.option("--seed", default=0, show_default=True)
 def confluence_cmd(graph_path, max_support, max_exp, samples, seed):
     """Certify local confluence within bounds; nonzero exit on failure."""
-    try:
-        g = _load(graph_path)
-        report = conf.check_critical_pairs(g, max_support, max_exp)
-        sampled = conf.check_strategy_independence(
-            g, random.Random(seed), pilings=samples,
-            max_support=max_support, max_exp=max_exp)
-    except GraphError as e:
-        _fail(e)
+    g = _load(graph_path)
+    report = conf.check_critical_pairs(g, max_support, max_exp)
+    sampled = conf.check_strategy_independence(
+        g, random.Random(seed), pilings=samples,
+        max_support=max_support, max_exp=max_exp)
     report.samples_checked = sampled.samples_checked
     report.sample_failures = sampled.sample_failures
     click.echo(report.describe())
@@ -228,31 +204,28 @@ def confluence_cmd(graph_path, max_support, max_exp, samples, seed):
               help="base graph file for gp (vertices, mu, edges only)")
 def example_cmd(family, n, cycle, base_path):
     """Emit a stock graph as JSON on stdout."""
-    try:
-        if family in ("raag", "racg"):
-            base = families.cycle_graph(n) if cycle else families.path_graph(n)
-            g = (families.raag if family == "raag" else families.racg)(*base)
-        elif family == "gp":
-            if base_path is None:
-                _fail("gp needs --graph with a base file")
-            base = jsonio.load_graph(base_path)
-            if any(base.less(x, y) for x in base.vertices for y in base.vertices):
-                _fail("gp base graph must not carry an order")
-            g = families.graph_product(
-                base.vertices,
-                [(x, y) for i, x in enumerate(base.vertices)
-                 for y in base.vertices[i + 1:] if base.edge(x, y)],
-                {v: base.mu(v) for v in base.vertices})
-        elif family == "cactus":
-            g = families.cactus(n)
-        elif family == "cstar":
-            g = families.dual_cactus_s3()
-        elif family == "kjn":
-            g = vjn.kjn_graph(n)
-        else:
-            g = families.gar3()
-    except GraphError as e:
-        _fail(e)
+    if family in ("raag", "racg"):
+        base = families.cycle_graph(n) if cycle else families.path_graph(n)
+        g = (families.raag if family == "raag" else families.racg)(*base)
+    elif family == "gp":
+        if base_path is None:
+            _fail("gp needs --graph with a base file")
+        base = jsonio.load_graph(base_path)
+        if any(base.less(x, y) for x in base.vertices for y in base.vertices):
+            _fail("gp base graph must not carry an order")
+        g = families.graph_product(
+            base.vertices,
+            [(x, y) for i, x in enumerate(base.vertices)
+             for y in base.vertices[i + 1:] if base.edge(x, y)],
+            {v: base.mu(v) for v in base.vertices})
+    elif family == "cactus":
+        g = families.cactus(n)
+    elif family == "cstar":
+        g = families.dual_cactus_s3()
+    elif family == "kjn":
+        g = vjn.kjn_graph(n)
+    else:
+        g = families.gar3()
     click.echo(jsonio.dump_graph(g), nl=False)
 
 
@@ -267,10 +240,7 @@ def vjn_group():
 @click.argument("word2")
 def vjn_eq_cmd(n, word1, word2):
     """Equality of two virtual cactus words (tokens x[p,q], r<i>)."""
-    try:
-        same = vjn.vjn_equal(n, word1, word2)
-    except GraphError as e:
-        _fail(e)
+    same = vjn.vjn_equal(n, word1, word2)
     click.echo("equal" if same else "not equal")
     sys.exit(0 if same else NEGATIVE)
 
@@ -283,23 +253,15 @@ def f_group():
 @f_group.command("nf")
 @click.argument("word")
 def f_nf_cmd(word):
-    try:
-        g = thompson.f_graph()
-        elt = element_from_text(g, word)
-    except (GraphError, ValueError) as e:
-        _fail(e)
-    click.echo(elt.nf_str() or "(identity)")
+    click.echo(element_from_text(thompson.f_graph(), word).nf_str() or "(identity)")
 
 
 @f_group.command("eq")
 @click.argument("word1")
 @click.argument("word2")
 def f_eq_cmd(word1, word2):
-    try:
-        g = thompson.f_graph()
-        same = element_from_text(g, word1) == element_from_text(g, word2)
-    except (GraphError, ValueError) as e:
-        _fail(e)
+    g = thompson.f_graph()
+    same = element_from_text(g, word1) == element_from_text(g, word2)
     click.echo("equal" if same else "not equal")
     sys.exit(0 if same else NEGATIVE)
 

@@ -343,6 +343,9 @@ def normalize_random_strategy(graph, piling, rng: random.Random):
 def check_strategy_independence(graph, rng=None, pilings=1000, strategies=20,
                                 max_len=4, max_support=3, max_exp=2) -> ConfluenceReport:
     """Many random pilings, each reduced under many random strategies."""
+    if pilings < 0 or strategies < 1:
+        raise GraphError(f"pilings must be at least 0 and strategies at least 1, "
+                         f"got {pilings} and {strategies}")
     rng = rng or random.Random(0)
     report = ConfluenceReport()
     for _ in range(pilings):

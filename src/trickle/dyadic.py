@@ -26,13 +26,14 @@ class Dyadic:
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
         text = text.strip()
-        if "/" in text:
-            p, q = text.split("/", 1)
-            den = int(q)
-            if den <= 0 or den & (den - 1):
-                raise ValueError(f"{text!r}: denominator must be a positive power of two")
-            return cls(int(p), den.bit_length() - 1)
-        return cls(int(text))
+        p, slash, q = text.partition("/")
+        try:
+            num, den = int(p), int(q) if slash else 1
+        except ValueError:
+            raise ValueError(f"{text!r} is not a dyadic rational like 3 or 3/8") from None
+        if den <= 0 or den & (den - 1):
+            raise ValueError(f"{text!r}: denominator must be a positive power of two")
+        return cls(num, den.bit_length() - 1)
 
     def __str__(self):
         return str(self.num) if self.exp == 0 else f"{self.num}/{1 << self.exp}"

@@ -116,6 +116,10 @@ def garside_element(graph) -> GroupElement:
 
 def lcm_atoms(graph, X) -> GroupElement:
     """The square-free element whose atom left divisors are exactly X."""
+    X = list(X)
+    for v in X:
+        if not graph.contains_vertex(v):
+            raise GraphError(f"unknown vertex {v!r}")
     _require_finite_complete(graph)
     X = frozenset(X)
     for g in square_free(graph):

@@ -183,7 +183,7 @@ class TrickleGraph:
         self._phi_bad = phi_bad
         self._phi_order_cache = {}
         self.name = name
-        self.parse_vertex = parse_vertex or (lambda tok: self._parse_token(tok))
+        self.parse_vertex = parse_vertex or _default_parse
         self.format_vertex = format_vertex or _default_format
 
         if ranking is None:
@@ -254,11 +254,6 @@ class TrickleGraph:
             if changed:
                 ready.sort(key=key)
         return out
-
-    def _parse_token(self, tok):
-        if tok in self._rank:
-            return tok
-        raise GraphError(f"unknown vertex {tok!r}")
 
     # ------------------------------------------------------------------
     # queries

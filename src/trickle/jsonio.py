@@ -43,7 +43,7 @@ def _pairs(value, what, ids):
             raise GraphError(f"{what} entry {item!r} is not a pair")
         a, b = item
         for v in (a, b):
-            if v not in ids:
+            if not isinstance(v, str) or v not in ids:
                 raise GraphError(f"{what} entry names unknown vertex {v!r}")
         out.append((a, b))
     return out
@@ -57,7 +57,8 @@ def graph_from_dict(doc) -> TrickleGraph:
         raise GraphError(f"unknown fields: {sorted(unknown)}")
     if "vertices" not in doc or "edges" not in doc:
         raise GraphError("graph document needs 'vertices' and 'edges'")
-
+    if not isinstance(doc["vertices"], list):
+        raise GraphError("vertices must be an array of objects")
     mu = {}
     order = []
     for entry in doc["vertices"]:
@@ -111,8 +112,10 @@ def load_graph(path) -> TrickleGraph:
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # also undecodable bytes and huge numbers
                 raise GraphError(f"{path}: not valid JSON ({e})") from None
+            except RecursionError:
+                raise GraphError(f"{path}: JSON nested too deeply") from None
     except OSError as e:
         raise GraphError(f"cannot read {path}: {e.strerror or e}") from None
     return graph_from_dict(doc)

@@ -214,12 +214,6 @@ class GroupElement:
         return f"<element {self.nf_str() or '1'}>"
 
 
-def equal(g: GroupElement, h: GroupElement) -> bool:
-    if g.graph is not h.graph:
-        raise GraphError("elements live over different graphs")
-    return g.piling == h.piling
-
-
 def from_syllables(graph, pairs) -> GroupElement:
     """Element of the product of the given (vertex, exponent) powers."""
     strata = []

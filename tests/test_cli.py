@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -131,6 +135,62 @@ def test_confluence_rejects_bounds_below_one(paths, graph, bound):
     out = run("confluence", paths[graph], *bound, code=2)
     assert len(out.splitlines()) == 1
     assert out.startswith("error: max_support and max_exp must be at least 1")
+
+
+@pytest.mark.parametrize("option", [["--samples", "-5"], ["--samples=-1"]],
+                         ids=["samples-5", "samples-1"])
+def test_confluence_rejects_negative_samples(paths, option):
+    out = run("confluence", paths["j4"], *option, "--max-support", "1", "--max-exp", "1",
+              code=2)
+    assert len(out.splitlines()) == 1
+    assert out.startswith("error: pilings must be at least 0 and strategies at least 1")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's sources, as a user would."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("option", [["--samples", "-1"], ["--strategies", "-2"]],
+                         ids=["samples-negative", "strategies-negative"])
+def test_sweep_rejects_negative_counts(option):
+    result = _python(str(ROOT / "scripts" / "confluence_sweep.py"), "J3",
+                     "--max-support", "1", "--max-exp", "1", *option)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: pilings must be at least 0")
+
+
+BAD_GRAPHS = {
+    "vertices-int": b'{"vertices": 5, "edges": []}',
+    "vertices-null": b'{"vertices": null, "edges": []}',
+    "pair-entry-list": b'{"vertices": [{"id": "a", "mu": 2}], "edges": [[["a"], "a"]]}',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": b"\xff\xfe{}",
+    "huge-number": b'{"vertices": ' + b"7" * 5000 + b', "edges": []}',
+}
+
+
+@pytest.mark.parametrize("args", [
+    *(["nf", name, "a"] for name in BAD_GRAPHS),
+    ["f", "nf", "1/3"],
+    ["f", "eq", "0 inf", "x/y"],
+    ["eq", "j3", "[1,2]", "bogus"],
+], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "eq-unknown-token"])
+def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
+    files = dict(paths)
+    for name in BAD_GRAPHS.keys() & set(args):
+        files[name] = tmp_path / "bad.json"
+        files[name].write_bytes(BAD_GRAPHS[name])
+    result = _python("-m", "trickle.cli", *(str(files.get(a, a)) for a in args))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stdout + result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
 
 
 def test_example_emission_parses_back(tmp_path):
