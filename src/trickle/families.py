@@ -18,6 +18,8 @@ from .graph import INFINITY, GraphError, TrickleGraph
 
 
 def path_graph(n: int):
+    if n < 1:
+        raise GraphError("a path or cycle needs n >= 1")
     verts = [f"v{i}" for i in range(1, n + 1)]
     return verts, [(verts[i], verts[i + 1]) for i in range(n - 1)]
 

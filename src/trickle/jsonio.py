@@ -19,6 +19,7 @@ describing broken graphs still load and can be diagnosed with validate.
 from __future__ import annotations
 
 import json
+import reprlib
 
 from .graph import INFINITY, GraphError, TrickleGraph
 
@@ -28,9 +29,9 @@ _VERTEX_FIELDS = {"id", "mu"}
 
 def _check_id(vid):
     if not isinstance(vid, str) or not vid:
-        raise GraphError(f"vertex id must be a nonempty string, got {vid!r}")
+        raise GraphError(f"vertex id must be a nonempty string, got {reprlib.repr(vid)}")
     if "^" in vid or any(c.isspace() for c in vid):
-        raise GraphError(f"vertex id {vid!r} may not contain '^' or whitespace")
+        raise GraphError(f"vertex id {reprlib.repr(vid)} may not contain '^' or whitespace")
     return vid
 
 
@@ -40,11 +41,11 @@ def _pairs(value, what, ids):
     out = []
     for item in value:
         if not (isinstance(item, list) and len(item) == 2):
-            raise GraphError(f"{what} entry {item!r} is not a pair")
+            raise GraphError(f"{what} entry {reprlib.repr(item)} is not a pair")
         a, b = item
         for v in (a, b):
             if not isinstance(v, str) or v not in ids:
-                raise GraphError(f"{what} entry names unknown vertex {v!r}")
+                raise GraphError(f"{what} entry names unknown vertex {reprlib.repr(v)}")
         out.append((a, b))
     return out
 
@@ -54,7 +55,7 @@ def graph_from_dict(doc) -> TrickleGraph:
         raise GraphError("graph document must be a JSON object")
     unknown = set(doc) - _TOP_FIELDS
     if unknown:
-        raise GraphError(f"unknown fields: {sorted(unknown)}")
+        raise GraphError(f"unknown fields: {reprlib.repr(sorted(unknown))}")
     if "vertices" not in doc or "edges" not in doc:
         raise GraphError("graph document needs 'vertices' and 'edges'")
     if not isinstance(doc["vertices"], list):
@@ -63,20 +64,20 @@ def graph_from_dict(doc) -> TrickleGraph:
     order = []
     for entry in doc["vertices"]:
         if not isinstance(entry, dict):
-            raise GraphError(f"vertex entry {entry!r} is not an object")
+            raise GraphError(f"vertex entry {reprlib.repr(entry)} is not an object")
         extra = set(entry) - _VERTEX_FIELDS
         if extra:
-            raise GraphError(f"unknown vertex fields: {sorted(extra)}")
+            raise GraphError(f"unknown vertex fields: {reprlib.repr(sorted(extra))}")
         if "id" not in entry or "mu" not in entry:
-            raise GraphError(f"vertex entry {entry!r} needs 'id' and 'mu'")
+            raise GraphError(f"vertex entry {reprlib.repr(entry)} needs 'id' and 'mu'")
         vid = _check_id(entry["id"])
         if vid in mu:
-            raise GraphError(f"duplicate vertex id {vid!r}")
+            raise GraphError(f"duplicate vertex id {reprlib.repr(vid)}")
         m = entry["mu"]
         if m == "inf":
             m = INFINITY
         elif not isinstance(m, int) or m < 2:
-            raise GraphError(f"mu of {vid!r} must be an integer >= 2 or \"inf\"")
+            raise GraphError(f"mu of {reprlib.repr(vid)} must be an integer >= 2 or \"inf\"")
         mu[vid] = m
         order.append(vid)
 
@@ -94,13 +95,14 @@ def graph_from_dict(doc) -> TrickleGraph:
     phi = {}
     for x, entries in phi_doc.items():
         if x not in ids:
-            raise GraphError(f"phi names unknown vertex {x!r}")
+            raise GraphError(f"phi names unknown vertex {reprlib.repr(x)}")
         table = {}
-        for y, img in _pairs(entries, f"phi[{x!r}]", ids):
+        for y, img in _pairs(entries, f"phi[{reprlib.repr(x)}]", ids):
             if y != x and y not in adjacency[x]:
-                raise GraphError(f"phi[{x!r}] defined at {y!r}, not a star vertex")
+                raise GraphError(f"phi[{reprlib.repr(x)}] defined at {reprlib.repr(y)}, "
+                                 "not a star vertex")
             if y in table:
-                raise GraphError(f"phi[{x!r}] defines {y!r} twice")
+                raise GraphError(f"phi[{reprlib.repr(x)}] defines {reprlib.repr(y)} twice")
             table[y] = img
         phi[x] = table
 

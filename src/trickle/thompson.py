@@ -6,12 +6,20 @@ gap (u, u') into the points u' - (u' - u) / 2**k, so the level-(p+1)
 points in a level-p gap accumulate at its right end.  ``succ`` and
 ``pred`` walk one step right or left inside a level.
 
+Read in binary, a non-integer x is new at level 1 + (the number of 0s
+among its digits after the point).  So ``pred(p, x)`` takes away the
+last binary digit of x (1 for an integer), and ``succ(p, x)`` adds
+2**-(p + the number of 1s after the point).
+
 Every vertex x determines a homeomorphism of the line: the identity at
 and above x, and below x it shifts the ladder v_0 = pred(x), v_{k+1} =
 mid(v_k, x), v_{-k} = pred^k(v_0) one rung down, linearly on each rung.
-The top vertex acts as the unit translation t -> t - 1.  Conjugation
-inside the group matches evaluation, which is what makes the complete
-totally ordered graph with phi_x = h_x a valid star-map structure.
+With u the last digit of x, the rungs are x - u / 2**k up to x, below
+v_0 = x - u the prefixes of v_0's digits down to floor(v_0), and below
+that the integers.  The top vertex acts as the unit translation
+t -> t - 1.  Conjugation inside the group matches evaluation, which is
+what makes the complete totally ordered graph with phi_x = h_x a valid
+star-map structure.
 
 All arithmetic is exact dyadic; there is no floating point here.
 """
@@ -20,8 +28,6 @@ from __future__ import annotations
 
 from .dyadic import Dyadic, power_of_two_ratio
 from .graph import INFINITY, GraphError, TrickleGraph
-
-_WALK_CAP = 10 ** 5
 
 
 class _Top:
@@ -66,140 +72,79 @@ def format_vertex(v) -> str:
 
 
 # ----------------------------------------------------------------------
-# the level filtration
+# the level filtration, read off the binary digits
 
 
-def _descend(lo: Dyadic, hi: Dyadic, x: Dyadic):
-    """One level down: the gap of the next level containing x, with
-    k >= 1 when x is exactly the k-th subdivision point (then x is new
-    at that level)."""
-    k = power_of_two_ratio(hi - lo, hi - x)
-    if k is not None:
-        # x = hi - (hi - lo) / 2**k, a subdivision point of this gap;
-        # the next-level gap starting at x ends halfway to hi
-        return x, Dyadic.mid(x, hi), k
-    span = hi - lo
-    d = hi - x
-    while span.half() > d:
-        span = span.half()
-    return hi - span, hi - span.half(), None
+def _digit(x: Dyadic) -> Dyadic:
+    """The last binary digit of x: 2**-exp, or 1 for an integer."""
+    return Dyadic(1, x.exp)
+
+
+def _ones(x: Dyadic) -> int:
+    """How many binary digits of x after the point are 1."""
+    return (x.num & ((1 << x.exp) - 1)).bit_count()
 
 
 def level(x: Dyadic) -> int:
     """Least p with x in the level-p point set."""
-    if x.is_integer:
-        return 0
-    lo = Dyadic(x.floor())
-    hi = lo + 1
-    p = 0
-    while True:
-        lo, hi, k = _descend(lo, hi, x)
-        p += 1
-        if k is not None:
-            return p
-
-
-def _locate(p: int, x: Dyadic):
-    """Consecutive level-p points (lo, hi) with lo <= x < hi."""
-    lo = Dyadic(x.floor())
-    hi = lo + 1
-    for _ in range(p):
-        if x == lo:
-            hi = Dyadic.mid(lo, hi)
-        else:
-            lo, hi, _ = _descend(lo, hi, x)
-    return lo, hi
+    return 0 if x.is_integer else x.exp - _ones(x) + 1
 
 
 def succ(p: int, x: Dyadic) -> Dyadic:
     """Right neighbour of x inside level p."""
     if level(x) > p:
         raise GraphError(f"{x} is not a level-{p} point")
-    if p == 0:
-        return x + 1
-    lo, hi = _locate(p - 1, x)
-    return Dyadic.mid(x, hi)
+    return x + Dyadic(1, p + _ones(x))
 
 
 def pred(p: int, x: Dyadic) -> Dyadic:
-    """One step left at level p.
-
-    A point new at level p steps to the previous subdivision point; a
-    point from a coarser level walks left there instead, since finer
-    points only accumulate toward it from the left.
-    """
-    q = level(x)
-    if q > p:
+    """One step left at level p: x without its last binary digit."""
+    if level(x) > p:
         raise GraphError(f"{x} is not a level-{p} point")
-    if q == 0:
-        return x - 1
-    if q < p:
-        return pred(p - 1, x)
-    _, hi = _locate(p - 1, x)
-    return x.double() - hi
+    return x - _digit(x)
 
 
 # ----------------------------------------------------------------------
 # the generating homeomorphisms, evaluated at dyadics
 
 
-def _segment_image(a: Dyadic, b: Dyadic, c: Dyadic, y: Dyadic) -> Dyadic:
-    """Image of y in [b, c] under the linear map [b, c] -> [a, b]."""
-    s = power_of_two_ratio(b - a, c - b)
-    if s is None:
-        raise GraphError("rung lengths are not a power of two apart")
-    return a + (y - b).scaled(s)
+def _segment(x: Dyadic, y: Dyadic):
+    """Consecutive rungs a <= y < b of the ladder below x, for y < x."""
+    v0 = x - _digit(x)
+    if y >= v0:
+        # rungs x - w for w = u, u/2, ...: w is the least power of two >= x - y
+        d = x - y
+        w = Dyadic(1, d.exp - (d.num - 1).bit_length())
+        return x - w, x - w.half()
+    if y.floor() < v0.floor():
+        a = Dyadic(y.floor())
+        return a, a + 1
+    # the rungs in [floor(v0), v0] are the prefixes of v0's binary digits;
+    # y has a 0 where it first differs from v0, which has a 1, so y lies
+    # between the prefixes that stop just before and just after that digit
+    e = max(y.exp, v0.exp)
+    n = y.num << (e - y.exp)
+    h = ((v0.num << (e - v0.exp)) ^ n).bit_length() - 1
+    return Dyadic(n >> (h + 1), e - h - 1), Dyadic((n >> h) + 1, e - h)
 
 
-def _segment_preimage(a: Dyadic, b: Dyadic, c: Dyadic, y: Dyadic) -> Dyadic:
-    """Preimage of y in [a, b] under the linear map [b, c] -> [a, b]."""
-    s = power_of_two_ratio(c - b, b - a)
-    if s is None:
-        raise GraphError("rung lengths are not a power of two apart")
-    return b + (y - a).scaled(s)
-
-
-def _ladder(x: Dyadic):
-    """p and the base rung v0 = pred(x) at x's own level."""
-    p = level(x)
-    return p, pred(p, x)
+def _affine(y: Dyadic, a: Dyadic, b: Dyadic, c: Dyadic, d: Dyadic) -> Dyadic:
+    """Image of y under the increasing linear map [a, b] -> [c, d]; rung
+    lengths are powers of two, so the slope is a power of two."""
+    return c + (y - a).scaled(power_of_two_ratio(d - c, b - a))
 
 
 def h_apply(x, y: Dyadic) -> Dyadic:
-    """Evaluate the generator of x at the dyadic y.
-
-    Identity at and above x; one rung down on the ladder below x; unit
-    translation below the ladder's first integer rung.
-    """
+    """Evaluate the generator of x at the dyadic y: identity at and above
+    x, one rung down on the ladder below x."""
     if x is TOP:
         return y - 1
     if y >= x:
         return y
-    p, v0 = _ladder(x)
-    if y >= v0:
-        # climb toward x: the rung above a is mid(a, x)
-        a, b = v0, Dyadic.mid(v0, x)
-        steps = 0
-        while b <= y:
-            a, b = b, Dyadic.mid(b, x)
-            steps += 1
-            if steps > _WALK_CAP:
-                raise GraphError("rung walk exceeded its cap")
-        below = pred(p, v0) if a == v0 else a.double() - x
-        return _segment_image(below, a, b, y)
-    # descend below the base rung
-    b = v0
-    a = pred(p, v0)
-    steps = 0
-    while y < a:
-        if a.is_integer:
-            return y - 1
-        b = a
-        a = pred(p, a)
-        steps += 1
-        if steps > _WALK_CAP:
-            raise GraphError("rung walk exceeded its cap")
-    return _segment_image(pred(p, a), a, b, y)
+    a, b = _segment(x, y)
+    # the rung under a: x - 2w above the base rung, a less its last digit below
+    under = a.double() - x if a > x - _digit(x) else a - _digit(a)
+    return _affine(y, a, b, under, a)
 
 
 def h_apply_inv(x, y: Dyadic) -> Dyadic:
@@ -208,37 +153,18 @@ def h_apply_inv(x, y: Dyadic) -> Dyadic:
         return y + 1
     if y >= x:
         return y
-    p, v0 = _ladder(x)
-    if y >= v0:
-        # y in [a, b) with a >= v0; preimage one rung up, in [b, mid(b, x)]
-        a, b = v0, Dyadic.mid(v0, x)
-        steps = 0
-        while b <= y:
-            a, b = b, Dyadic.mid(b, x)
-            steps += 1
-            if steps > _WALK_CAP:
-                raise GraphError("rung walk exceeded its cap")
-        return _segment_preimage(a, b, Dyadic.mid(b, x), y)
-    # y below the base rung: find consecutive rungs a <= y < b, tracking
-    # the rung c above b
-    b, c = v0, Dyadic.mid(v0, x)
-    a = pred(p, v0)
-    steps = 0
-    while y < a:
-        if a.is_integer and y <= a - 1:
-            return y + 1
-        b, c = a, b
-        a = pred(p, a)
-        steps += 1
-        if steps > _WALK_CAP:
-            raise GraphError("rung walk exceeded its cap")
-    return _segment_preimage(a, b, c, y)
+    a, b = _segment(x, y)
+    # [a, b] is the image of the rung [b, c] above it
+    return _affine(y, a, b, b, _segment(x, b)[1])
 
 
 def evaluate_letters(letters, t: Dyadic) -> Dyadic:
-    """Evaluate a word, rightmost letter first, at the dyadic t."""
+    """Evaluate a word of (vertex, exponent) syllables, rightmost first,
+    at the dyadic t."""
     for v, e in reversed(list(letters)):
-        t = h_apply(v, t) if e > 0 else h_apply_inv(v, t)
+        step = h_apply if e > 0 else h_apply_inv
+        for _ in range(abs(e)):
+            t = step(v, t)
     return t
 
 

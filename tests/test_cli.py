@@ -172,6 +172,7 @@ BAD_GRAPHS = {
     "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
     "not-utf8": b"\xff\xfe{}",
     "huge-number": b'{"vertices": ' + b"7" * 5000 + b', "edges": []}',
+    "deep-edge-entry": b'{"vertices": [], "edges": [' + b"[" * 960 + b"]" * 960 + b"]}",
 }
 
 
@@ -180,7 +181,10 @@ BAD_GRAPHS = {
     ["f", "nf", "1/3"],
     ["f", "eq", "0 inf", "x/y"],
     ["eq", "j3", "[1,2]", "bogus"],
-], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "eq-unknown-token"])
+    ["example", "raag", "--n", "0"],
+    ["example", "racg", "--n", "-1", "--cycle"],
+], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "eq-unknown-token",
+        "example-raag-n-0", "example-racg-cycle-n-negative"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     files = dict(paths)
     for name in BAD_GRAPHS.keys() & set(args):
@@ -191,6 +195,7 @@ def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     assert "Traceback" not in result.stdout + result.stderr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert len(lines[0]) <= 300
 
 
 def test_example_emission_parses_back(tmp_path):

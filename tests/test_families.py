@@ -20,6 +20,16 @@ def test_graph_product_examples():
     assert ans.finite and ans.order == 5
 
 
+def test_path_and_cycle_need_a_vertex():
+    assert path_graph(1) == (["v1"], [])
+    assert cycle_graph(1) == (["v1"], [])
+    for n in (0, -1):
+        with pytest.raises(GraphError):
+            path_graph(n)
+        with pytest.raises(GraphError):
+            cycle_graph(n)
+
+
 def test_graph_product_rejects_small_mu():
     with pytest.raises(GraphError):
         graph_product(["x"], [], 1)

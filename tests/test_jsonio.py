@@ -116,13 +116,16 @@ def test_unreadable_file(tmp_path):
     (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
     (b"\xff\xfe{}", "not valid JSON"),
     (b'{"vertices": ' + b"7" * 5000 + b', "edges": []}', "not valid JSON"),
+    (b'{"vertices": [], "edges": [' + b"[" * 800 + b"]" * 800 + b"]}", "is not a pair"),
 ], ids=["vertices-int", "vertices-null", "pair-entry-list", "deep-nesting",
-        "not-utf8", "huge-number"])
+        "not-utf8", "huge-number", "deep-edge-entry"])
 def test_malformed_files_raise_graph_error(tmp_path, content, message):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
-    with pytest.raises(GraphError, match=message):
+    with pytest.raises(GraphError, match=message) as info:
         load_graph(path)
+    # the message repeats at most a bounded excerpt of the offending value
+    assert len(str(info.value)) <= 300
 
 
 # Fuzz inputs: any JSON-like value, a well-formed document over x, y, z, or

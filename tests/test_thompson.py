@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,50 @@ def test_level_examples():
     assert level(D(3, 2)) == 1
     assert level(D(3, 3)) == 2
     assert level(D(9, 4)) == 3
+
+
+def _level_sets(depth, bits):
+    """Levels of the points of [-2, 2] with denominator <= 2**bits, by
+    literally subdividing gaps: every level-p gap (u, u') gains the points
+    u' - (u' - u) / 2**k.  Gaps are aligned to their power-of-two length, so
+    a gap no longer than 2**-bits holds no point of that denominator."""
+    fine = Fraction(1, 2 ** bits)
+    levels = {Fraction(n): 0 for n in range(-2, 3)}
+    gaps = [(Fraction(n), Fraction(n + 1)) for n in range(-2, 2)]
+    for p in range(1, depth + 1):
+        finer = []
+        for lo, hi in gaps:
+            step = hi - lo
+            while step > fine:
+                finer.append((hi - step, hi - step / 2))
+                levels.setdefault(hi - step / 2, p)
+                step /= 2
+        gaps = finer
+    return levels
+
+
+def test_level_matches_subdivision_oracle():
+    depth, bits = 5, 10
+    levels = _level_sets(depth, bits)
+    grid = [D(n, bits) for n in range(-2 << bits, 2 << bits)]
+    for x in grid:
+        exact = Fraction(x.num, 2 ** x.exp)
+        if level(x) <= depth:
+            assert levels.get(exact) == level(x), x
+        else:
+            assert exact not in levels, x
+    # succ is the right neighbour inside a level, and pred at a point's own
+    # level is its left neighbour
+    for p in range(depth + 1):
+        points = sorted(v for v, q in levels.items() if q <= p)
+        for left, right in zip(points, points[1:]):
+            x = D(left.numerator, left.denominator.bit_length() - 1)
+            nxt = succ(p, x)
+            if nxt.exp <= bits:
+                assert Fraction(nxt.num, 2 ** nxt.exp) == right, (p, x)
+            y = D(right.numerator, right.denominator.bit_length() - 1)
+            if level(y) == p:
+                assert Fraction(pred(p, y).num, 2 ** pred(p, y).exp) == left, (p, y)
 
 
 def test_succ_pred_examples():
@@ -59,6 +104,11 @@ def test_h_examples():
     assert h_apply(D(0), D(-1, 2)) == D(-1, 1)
     assert h_apply(D(0), D(1, 1)) == D(1, 1)        # identity above the vertex
     assert h_apply_inv(TOP, D(0)) == D(1)
+    # 100,009 rungs above the base rung of 0, and back
+    y = D(-1, 100010)
+    assert h_apply(D(0), y) == D(-1, 100009)
+    assert h_apply_inv(D(0), h_apply(D(0), y)) == y
+    assert h_apply(D(0), h_apply_inv(D(0), y)) == y
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,7 +156,9 @@ def test_conjugation_identity_with_top():
 def test_h_maps_each_rung_one_down():
     # build the ladder of x from the walk definitions and check that the
     # map sends rung [v_k, v_{k+1}] linearly onto [v_{k-1}, v_k]
-    for x in (D(0), D(1, 1), D(-3, 2), D(5), D(7, 3)):
+    rng = random.Random(17)
+    seeded = [D(rng.randrange(-400, 401), rng.randrange(0, 12)) for _ in range(100)]
+    for x in (D(0), D(1, 1), D(-3, 2), D(5), D(7, 3), *seeded):
         p = level(x)
         v0 = pred(p, x)
         ladder = [pred(p, pred(p, pred(p, v0))), pred(p, pred(p, v0)),
@@ -187,3 +239,8 @@ def test_evaluate_letters_matches_composition():
     t = D(-3, 2)
     by_hand = h_apply(D(0), h_apply_inv(TOP, h_apply(D(1, 1), t)))
     assert evaluate_letters(word, t) == by_hand
+    # a syllable acts exponent times: the normal form of 0 0 is 0^2
+    nf = from_syllables(f_graph(), [(D(0), 1), (D(0), 1)]).nf()
+    assert nf == [(D(0), 2)]
+    assert evaluate_letters(nf, t) == h_apply(D(0), h_apply(D(0), t)) == D(-5, 1)
+    assert evaluate_letters([(D(1, 1), -2)], t) == h_apply_inv(D(1, 1), h_apply_inv(D(1, 1), t))

@@ -48,6 +48,8 @@ def test_tracer_installs_and_uninstalls_cleanly():
         assert patched, "the tracer wrapped nothing"
         assert ("trickle.pilings", "nf_letters") in patched
         assert ("trickle.pilings", "GroupElement", "inverse") in patched
+        for name in ("h_apply", "h_apply_inv", "level"):
+            assert ("trickle.thompson", name) in patched
     finally:
         tracer.uninstall()
     after = _bindings(lib)
