@@ -15,7 +15,7 @@ import click
 from . import confluence as conf
 from . import families, garside, jsonio, parabolic, syllabic, thompson, vjn
 from .graph import validate as validate_graph
-from .pilings import element_from_text, is_finite
+from .pilings import element_from_text, format_word, is_finite
 
 NEGATIVE = 1
 USAGE = 2
@@ -132,7 +132,7 @@ def tits_reduce_cmd(graph_path, word):
     """Shortest syllabic word for the element of a syllabic word."""
     g = _load(graph_path)
     reduced = syllabic.syllabic_reduce(g, syllabic.parse_syllabic(g, word))
-    click.echo(syllabic.format_syllabic(g, reduced) or "(identity)")
+    click.echo(format_word(g, reduced) or "(identity)")
 
 
 @main.command("garside")

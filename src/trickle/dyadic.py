@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import reprlib
+
 
 class Dyadic:
     __slots__ = ("num", "exp")
@@ -10,11 +12,12 @@ class Dyadic:
         if exp < 0:
             num <<= -exp
             exp = 0
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
         if num == 0:
             exp = 0
+        elif exp and not num & 1:
+            shift = min(exp, (num & -num).bit_length() - 1)
+            num >>= shift
+            exp -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -30,9 +33,10 @@ class Dyadic:
         try:
             num, den = int(p), int(q) if slash else 1
         except ValueError:
-            raise ValueError(f"{text!r} is not a dyadic rational like 3 or 3/8") from None
+            raise ValueError(
+                f"{reprlib.repr(text)} is not a dyadic rational like 3 or 3/8") from None
         if den <= 0 or den & (den - 1):
-            raise ValueError(f"{text!r}: denominator must be a positive power of two")
+            raise ValueError(f"{reprlib.repr(text)}: denominator must be a positive power of two")
         return cls(num, den.bit_length() - 1)
 
     def __str__(self):

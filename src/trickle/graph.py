@@ -5,13 +5,16 @@ order on its vertices, a torsion label mu per vertex (an integer >= 2 or
 INFINITY), and one automorphism of each vertex star.  A graph whose
 quadruple satisfies axioms (a)-(g) below presents a trickle group, and
 everything else in this package consumes it through the small query
-oracle exposed here: edge, less, mu, phi, phi_inv.
+oracle exposed here: edge, less, mu, phi, phi_pow (phi_inv is phi_pow
+with exponent -1).
 
 Two flavours exist.  Finite graphs are table-backed (built from explicit
 vertex, edge, order and star-map data) and support full validation and
-serialization.  Infinite families are "lazy": they supply query callables
-instead of tables, must provide both phi and phi_inv, and are checked by
-sampling (spot_check) rather than exhaustively.
+serialization; each sound star map is also kept as its cycles, y ->
+(cycle, index), so phi_x^a(y) is cycle[(index + a) % len(cycle)].
+Infinite families are "lazy": they supply query callables instead of
+tables, must provide both phi and phi_inv, and are checked by sampling
+(spot_check) rather than exhaustively.
 
 Axioms, for vertices x, y, z (x || y means incomparable):
 
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 from math import inf, lcm
 
 INFINITY = inf
+LAZY_POWER_CAP = 10 ** 6
 
 
 class GraphError(ValueError):
@@ -74,6 +78,19 @@ def _default_parse(token):
 
 def _default_format(vertex):
     return vertex if isinstance(vertex, str) else str(vertex)
+
+
+def _cycles(table):
+    """y -> (cycle of y under the permutation ``table``, index of y in it)."""
+    out = {}
+    for y in table:
+        if y not in out:
+            cycle = [y]
+            while table[cycle[-1]] != y:
+                cycle.append(table[cycle[-1]])
+            cycle = tuple(cycle)
+            out.update((z, (cycle, i)) for i, z in enumerate(cycle))
+    return out
 
 
 class TrickleGraph:
@@ -152,8 +169,8 @@ class TrickleGraph:
 
         phi = phi or {}
         phi_tab = {}
-        inv_tab = {}
         phi_bad = {}
+        cycles = {}
         for x in verts:
             star = adj[x] | {x}
             given = phi.get(x, {})
@@ -172,16 +189,16 @@ class TrickleGraph:
                 else:
                     inv[img] = y
             phi_bad[x] = bad
-            inv_tab[x] = inv
+            if bad is None:
+                cycles[x] = _cycles(table)
 
         self._finite = True
         self._mu = mu_map
         self._adj = {v: frozenset(s) for v, s in adj.items()}
         self._up = {v: frozenset(s) for v, s in up.items()}
         self._phi = phi_tab
-        self._phi_inv_tab = inv_tab
         self._phi_bad = phi_bad
-        self._phi_order_cache = {}
+        self._cycles = cycles    # sound maps only
         self.name = name
         self.parse_vertex = parse_vertex or _default_parse
         self.format_vertex = format_vertex or _default_format
@@ -305,62 +322,27 @@ class TrickleGraph:
         return self._phi_fn(x, y)
 
     def phi_inv(self, x, y):
-        if self._finite:
-            if self._phi_bad[x]:
-                raise GraphError(self._phi_bad[x])
-            try:
-                return self._phi_inv_tab[x][y]
-            except KeyError:
-                raise GraphError(f"{y!r} has no phi_{x!r} preimage in the star") from None
-        if x == y:
-            return y
-        if not self._edge_fn(x, y):
-            raise GraphError(f"{y!r} is not in star({x!r})")
-        return self._phi_inv_fn(x, y)
+        return self.phi_pow(x, -1, y)
 
     def phi_order(self, x) -> int:
         """Order of phi_x as a permutation of the (finite) star."""
         if not self._finite:
             raise GraphError("phi_order needs a finite graph")
-        cached = self._phi_order_cache.get(x)
-        if cached is not None:
-            return cached
         if self._phi_bad[x]:
             raise GraphError(self._phi_bad[x])
-        table = self._phi[x]
-        seen = set()
-        order = 1
-        for y in table:
-            if y in seen:
-                continue
-            n = 0
-            z = y
-            while True:
-                z = table[z]
-                n += 1
-                seen.add(z)
-                if z == y:
-                    break
-            order = lcm(order, n)
-        self._phi_order_cache[x] = order
-        return order
+        return lcm(*{len(cycle) for cycle, _ in self._cycles[x].values()})
 
-    def phi_pow(self, x, a, y, _cap=10 ** 6):
+    def phi_pow(self, x, a, y):
         """Apply phi_x a times to y (negative a uses phi_inv)."""
         if a == 0 or x == y:
             return y
         if self._finite:
-            a %= self.phi_order(x)
-            if a == 0:
-                return y
-            table = self._phi[x]
             try:
-                for _ in range(a):
-                    y = table[y]
+                cycle, i = self._cycles[x][y]
             except KeyError:
-                raise GraphError(f"{y!r} left star({x!r}) under phi") from None
-            return y
-        if abs(a) > _cap:
+                raise GraphError(self._phi_bad[x] or f"{y!r} is not in star({x!r})") from None
+            return cycle[(i + a) % len(cycle)]
+        if abs(a) > LAZY_POWER_CAP:
             raise GraphError(f"phi power {a} exceeds the iteration cap on a lazy graph")
         fn = self._phi_fn if a > 0 else self._phi_inv_fn
         for _ in range(abs(a)):
@@ -400,7 +382,6 @@ class TrickleGraph:
         g.vertices = tuple(ranking)
         g._rank = {v: i for i, v in enumerate(g.vertices)}
         g._dual = None
-        g._phi_order_cache = dict(self._phi_order_cache)
         return g
 
     def dual(self):
@@ -413,10 +394,9 @@ class TrickleGraph:
             for x in self.vertices:
                 if self._phi_bad[x]:
                     raise GraphError(self._phi_bad[x])
-            g._phi = {x: dict(self._phi_inv_tab[x]) for x in self.vertices}
-            g._phi_inv_tab = {x: dict(self._phi[x]) for x in self.vertices}
+            g._phi = {x: {img: y for y, img in self._phi[x].items()} for x in self.vertices}
             g._phi_bad = {x: None for x in self.vertices}
-            g._phi_order_cache = {}
+            g._cycles = {x: _cycles(g._phi[x]) for x in self.vertices}
         else:
             g._phi_fn, g._phi_inv_fn = self._phi_inv_fn, self._phi_fn
         g.name = f"dual({self.name})"

@@ -12,8 +12,8 @@ extract it (conjugating it past the larger syllables of its stratum with
 the star maps), and add it to the target stratum, merging or cancelling
 exponents when the vertex is already present.  Empty strata are erased.
 The system terminates and is confluent, so every piling has a unique
-irreducible form; ``normalize`` computes it with a deterministic
-left-to-right sweep.  Group elements are held in that canonical form,
+irreducible form; ``normalize`` computes it in one deterministic
+left-to-right pass.  Group elements are held in that canonical form,
 which makes equality a tuple comparison and solves the word problem.
 
 Normal-form words depend on the total vertex ranking the graph carries;
@@ -130,30 +130,26 @@ def push_syllable(graph, U: Stratum, V: Stratum, s: Syllable):
 def normalize(graph, piling) -> Piling:
     """The unique irreducible piling reachable from ``piling``.
 
-    Deterministic strategy: repeated left-to-right sweeps; within a pair
-    the mover syllables are tried in descending vertex order; empty
-    strata are dropped eagerly.  Confluence makes the result independent
-    of these choices.
+    One left-to-right pass with a cursor on the pair (i, i+1).  A push
+    there rewrites only strata i and i+1, so the cursor then steps back to
+    re-check the pair (i-1, i); every pair left of the cursor stays
+    irreducible, and once the cursor passes the last pair the piling is
+    irreducible.  Within a pair the mover syllables are tried in
+    descending vertex order; empty strata are dropped eagerly.  Confluence
+    makes the result independent of these choices.
     """
     strata = [U for U in piling if U]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(strata):
-            U, V = strata[i], strata[i + 1]
-            t = None
-            for s in V:
-                t = push_syllable(graph, U, V, s)
-                if t is not None:
-                    break
-            if t is None:
-                i += 1
-                continue
-            changed = True
-            strata[i:i + 2] = [S for S in t if S]
-            if i > 0:
-                i -= 1
+    i = 0
+    while i + 1 < len(strata):
+        U, V = strata[i], strata[i + 1]
+        for s in V:
+            t = push_syllable(graph, U, V, s)
+            if t is not None:
+                strata[i:i + 2] = [S for S in t if S]
+                i = max(i - 1, 0)
+                break
+        else:
+            i += 1
     return tuple(strata)
 
 

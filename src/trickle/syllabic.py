@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .graph import GraphError
 from .pilings import canonical_exponent, make_syllable, nf_letters, normalize, parse_word
-from .pilings import format_word as format_syllabic
+from .pilings import format_word as format_syllabic  # the name perfbench/workloads.py calls
 
 DEFAULT_ORBIT_BOUND = 10 ** 5
 

@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 import subprocess
@@ -175,16 +176,21 @@ BAD_GRAPHS = {
     "deep-edge-entry": b'{"vertices": [], "edges": [' + b"[" * 960 + b"]" * 960 + b"]}",
 }
 
+# 2**15000 in decimal, 4,516 digits: past int()'s 4300-digit limit
+with decimal.localcontext(prec=5000):
+    HUGE_DENOMINATOR = str(decimal.Decimal(2) ** 15000)
+
 
 @pytest.mark.parametrize("args", [
     *(["nf", name, "a"] for name in BAD_GRAPHS),
     ["f", "nf", "1/3"],
     ["f", "eq", "0 inf", "x/y"],
+    ["f", "nf", "0 1/" + HUGE_DENOMINATOR],
     ["eq", "j3", "[1,2]", "bogus"],
     ["example", "raag", "--n", "0"],
     ["example", "racg", "--n", "-1", "--cycle"],
-], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "eq-unknown-token",
-        "example-raag-n-0", "example-racg-cycle-n-negative"])
+], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "f-nf-huge-denominator",
+        "eq-unknown-token", "example-raag-n-0", "example-racg-cycle-n-negative"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     files = dict(paths)
     for name in BAD_GRAPHS.keys() & set(args):

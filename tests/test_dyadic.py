@@ -16,6 +16,8 @@ def test_canonical_form():
     assert D(2, -1) == D(4)
     assert str(D(3, 2)) == "3/4"
     assert str(D(-8, 2)) == "-2"
+    big = D(3 << 20_000, 20_001)
+    assert (big.num, big.exp) == (3, 1)
 
 
 def test_parse():

@@ -8,7 +8,8 @@ from corrupt import BROKEN
 from trickle.dyadic import Dyadic
 from trickle.families import (affine_quandle_graph, cactus, dual_cactus_s3,
                               fixture, gar3, FIXTURES)
-from trickle.graph import GraphError, INFINITY, TrickleGraph, spot_check, validate
+from trickle.graph import (GraphError, INFINITY, LAZY_POWER_CAP, TrickleGraph, spot_check,
+                           validate)
 from trickle.thompson import TOP, f_graph
 
 
@@ -89,14 +90,30 @@ def test_phi_pow_outside_star():
     j3 = cactus(3)
     with pytest.raises(GraphError):
         j3.phi("[1,2]", "[2,3]")
+    with pytest.raises(GraphError):
+        j3.phi_pow("[1,2]", 2, "[2,3]")   # 2 is a multiple of the order of phi_[1,2]
+
+
+def test_lazy_phi_pow_past_the_cap():
+    g = f_graph()
+    with pytest.raises(GraphError):
+        g.phi_pow(Dyadic(0), LAZY_POWER_CAP + 1, Dyadic(-1, 1))
 
 
 def test_phi_inv_undoes_phi_everywhere():
     for name in FIXTURES:
-        g = fixture(name)
-        for x in g.vertices:
-            for y in g.star(x):
-                assert g.phi_inv(x, g.phi(x, y)) == y
+        base = fixture(name)
+        for g in (base, base.dual()):
+            for x in g.vertices:
+                n = 2 * g.phi_order(x) + 1
+                for y in g.star(x):
+                    assert g.phi_inv(x, g.phi(x, y)) == y
+                    # phi_pow agrees with iterated phi / phi_inv
+                    up = down = y
+                    for a in range(1, n + 1):
+                        up, down = g.phi(x, up), g.phi_inv(x, down)
+                        assert g.phi_pow(x, a, y) == up
+                        assert g.phi_pow(x, -a, y) == down
 
 
 def test_phi_pow_exchange_identity_on_chains():

@@ -50,6 +50,8 @@ def test_tracer_installs_and_uninstalls_cleanly():
         assert ("trickle.pilings", "GroupElement", "inverse") in patched
         for name in ("h_apply", "h_apply_inv", "level"):
             assert ("trickle.thompson", name) in patched
+        for name in ("edge", "phi", "phi_pow", "sort_key"):
+            assert ("trickle.graph", "TrickleGraph", name) in patched
     finally:
         tracer.uninstall()
     after = _bindings(lib)
