@@ -5,7 +5,7 @@ from .graph import (INFINITY, GraphError, TrickleGraph, ValidationReport,
 from .pilings import (FinitenessAnswer, GroupElement, element_from_text,
                       format_word, from_syllables, is_finite,
                       make_stratum, make_syllable, normalize, parse_word,
-                      push_syllable, stratum_add, stratum_can_add,
+                      product, push_syllable, stratum_add, stratum_can_add,
                       stratum_extract, stratum_remove)
 
 __all__ = [
@@ -13,6 +13,6 @@ __all__ = [
     "spot_check", "validate",
     "FinitenessAnswer", "GroupElement", "element_from_text", "format_word",
     "from_syllables", "is_finite", "make_stratum",
-    "make_syllable", "normalize", "parse_word", "push_syllable",
+    "make_syllable", "normalize", "parse_word", "product", "push_syllable",
     "stratum_add", "stratum_can_add", "stratum_extract", "stratum_remove",
 ]

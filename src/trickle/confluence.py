@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import INFINITY, GraphError
-from .pilings import (normalize, push_syllable, sort_stratum, stratum_can_add,
+from .pilings import (normalize, product, push_syllable, sort_stratum, stratum_can_add,
                       stratum_extract, stratum_remove, stratum_add)
 
 
@@ -153,7 +153,7 @@ class _Reducer:
         key = (i, j)
         out = self._mult.get(key)
         if out is None:
-            out = self.intern(normalize(self.graph, self._pilings[i] + self._pilings[j]))
+            out = self.intern(product(self.graph, self._pilings[i], self._pilings[j]))
             self._mult[key] = out
         return out
 
@@ -238,9 +238,10 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
     Consumes the work units that ``enumerate_critical_pairs`` expands and
     reaches the verdicts of ``resolve``, but evaluates each unit on interned
     strata: a unit's pushes are computed once, the C2 incoming strata
-    once per middle stratum, and only memoized product lookups remain
-    in the hot loop.  A failure's witness is the irreducible form of
-    each of its two successors.  ``shard``/``shards`` deal the work units
+    once per middle stratum and the C2 right-hand sides once per (V, U),
+    and only memoized product lookups remain in the hot loop.  A
+    failure's witness is the irreducible form of each of its two
+    successors.  ``shard``/``shards`` deal the work units
     out round-robin, so the shard reports partition the full check.
     """
     report = ConfluenceReport()
@@ -281,14 +282,18 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
             _, V, incoming, heads = u
             rhs = [(of(W), of(stratum_add(graph, V, gz)), of(stratum_remove(W, z)), W, z)
                    for W, z, gz in incoming]
+            right = {}
             for y, gy, U in heads:
                 if not mine():
                     continue
                 a1 = mult(of(stratum_add(graph, U, gy)), of(stratum_remove(V, y)))
                 iU = of(U)
+                b = right.get(iU)
+                if b is None:
+                    b = right[iU] = [mult(mult(iU, iV2), iW2) for _, iV2, iW2, _, _ in rhs]
                 report.pairs_checked += len(rhs)
-                for iW, iV2, iW2, W, z in rhs:
-                    if mult(a1, iW) != mult(mult(iU, iV2), iW2):
+                for (iW, _, _, W, z), bW in zip(rhs, b):
+                    if mult(a1, iW) != bW:
                         if record(CriticalPair("C2", (U, V, W), (y, z))):
                             return report
     return report

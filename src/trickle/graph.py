@@ -328,8 +328,9 @@ class TrickleGraph:
         """Order of phi_x as a permutation of the (finite) star."""
         if not self._finite:
             raise GraphError("phi_order needs a finite graph")
-        if self._phi_bad[x]:
-            raise GraphError(self._phi_bad[x])
+        bad = self._phi_bad.get(x, f"unknown vertex {x!r}")
+        if bad:
+            raise GraphError(bad)
         return lcm(*{len(cycle) for cycle, _ in self._cycles[x].values()})
 
     def phi_pow(self, x, a, y):
@@ -340,7 +341,7 @@ class TrickleGraph:
             try:
                 cycle, i = self._cycles[x][y]
             except KeyError:
-                raise GraphError(self._phi_bad[x] or f"{y!r} is not in star({x!r})") from None
+                raise GraphError(self._phi_bad.get(x) or f"{y!r} is not in star({x!r})") from None
             return cycle[(i + a) % len(cycle)]
         if abs(a) > LAZY_POWER_CAP:
             raise GraphError(f"phi power {a} exceeds the iteration cap on a lazy graph")

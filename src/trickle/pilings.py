@@ -103,6 +103,11 @@ def stratum_add(graph, U: Stratum, s: Syllable) -> Stratum:
     """
     if not stratum_can_add(graph, U, s):
         raise GraphError(f"syllable {s!r} cannot be added to {U!r}")
+    return _stratum_add(graph, U, s)
+
+
+def _stratum_add(graph, U: Stratum, s: Syllable) -> Stratum:
+    """``stratum_add`` for a syllable already known to be addable."""
     y, b = s
     out = []
     merged = False
@@ -124,7 +129,7 @@ def push_syllable(graph, U: Stratum, V: Stratum, s: Syllable):
     g = stratum_extract(graph, V, s)
     if not stratum_can_add(graph, U, g):
         return None
-    return stratum_add(graph, U, g), stratum_remove(V, s)
+    return _stratum_add(graph, U, g), stratum_remove(V, s)
 
 
 def normalize(graph, piling) -> Piling:
@@ -137,19 +142,54 @@ def normalize(graph, piling) -> Piling:
     irreducible.  Within a pair the mover syllables are tried in
     descending vertex order; empty strata are dropped eagerly.  Confluence
     makes the result independent of these choices.
+
+    The move at a pair depends on the pair alone, so a dict living for
+    this one call maps each pair (U, V) met so far to the nonempty strata
+    its first landing push leaves in its place, or to None when the pair
+    is irreducible; a pair met again reuses that entry and makes the same
+    move as a fresh search would.
     """
-    strata = [U for U in piling if U]
-    i = 0
+    return _settle(graph, [U for U in piling if U], 0, {})
+
+
+def product(graph, left: Piling, right: Piling) -> Piling:
+    """``normalize(graph, left + right)`` for irreducible ``left`` and ``right``.
+
+    Every pair inside ``left`` is irreducible, so the pass starts at the
+    junction, on the pair (len(left) - 1, len(left)), and makes the same
+    moves from there.  Short products rarely meet a pair twice, so no
+    pair memo is kept.
+    """
+    return _settle(graph, list(left + right), max(len(left) - 1, 0), None)
+
+
+_UNSEEN = object()
+
+
+def _settle(graph, strata, i, memo):
+    """The pass of ``normalize`` on the list ``strata``, cursor first at i.
+
+    Pairs left of i must be irreducible.  ``memo`` is the per-call pair
+    dict of ``normalize``, or None to search every pair afresh.
+    """
     while i + 1 < len(strata):
-        U, V = strata[i], strata[i + 1]
-        for s in V:
-            t = push_syllable(graph, U, V, s)
-            if t is not None:
-                strata[i:i + 2] = [S for S in t if S]
-                i = max(i - 1, 0)
-                break
-        else:
+        pair = U, V = strata[i], strata[i + 1]
+        t = _UNSEEN if memo is None else memo.get(pair, _UNSEEN)
+        if t is _UNSEEN:
+            t = None
+            for s in V:
+                t = push_syllable(graph, U, V, s)
+                if t is not None:
+                    if not (t[0] and t[1]):
+                        t = tuple([S for S in t if S])
+                    break
+            if memo is not None:
+                memo[pair] = t
+        if t is None:
             i += 1
+        else:
+            strata[i:i + 2] = t
+            i = max(i - 1, 0)
     return tuple(strata)
 
 
@@ -179,7 +219,7 @@ class GroupElement:
             return NotImplemented
         if self.graph is not other.graph:
             raise GraphError("elements live over different graphs")
-        return GroupElement(self.graph, normalize(self.graph, self.piling + other.piling))
+        return GroupElement(self.graph, product(self.graph, self.piling, other.piling))
 
     def inverse(self):
         return from_syllables(self.graph, [(v, -a) for v, a in reversed(self.nf())])

@@ -46,10 +46,6 @@ def transposition(n: int, i: int) -> Perm:
     return tuple(img)
 
 
-def perm_apply_tuple(w: Perm, t: tuple) -> tuple:
-    return tuple(w[i - 1] for i in t)
-
-
 # ----------------------------------------------------------------------
 # the kernel graph on tuples of distinct points
 
@@ -178,20 +174,23 @@ def vjn_encode(n: int, word) -> VjnElement:
 
     An interval generator contributes the kernel generator of its tuple
     translated by the permutation accumulated so far; a transposition
-    multiplies the permutation on the right.  The kernel syllables are
-    normalized once, at the end.
+    multiplies the permutation on the right, which swaps two of its
+    entries.  The kernel syllables are normalized once, at the end.
     """
     if isinstance(word, str):
         word = parse_vjn_word(n, word)
     sylls = []
-    perm = perm_identity(n)
+    perm = list(perm_identity(n))
     for tok in word:
         if tok[0] == "r":
-            perm = perm_mul(perm, transposition(n, tok[1]))
+            i = tok[1]
+            if not 1 <= i <= n - 1:
+                raise GraphError(f"r{i} is out of range for n = {n}")
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
         else:
             _, p, q = tok
-            sylls.append((perm_apply_tuple(perm, tuple(range(p, q + 1))), 1))
-    return VjnElement(from_syllables(kjn_graph(n), sylls), perm)
+            sylls.append((tuple(perm[p - 1:q]), 1))
+    return VjnElement(from_syllables(kjn_graph(n), sylls), tuple(perm))
 
 
 def vjn_equal(n: int, w1, w2) -> bool:

@@ -94,6 +94,14 @@ def test_phi_pow_outside_star():
         j3.phi_pow("[1,2]", 2, "[2,3]")   # 2 is a multiple of the order of phi_[1,2]
 
 
+def test_phi_queries_on_an_unknown_vertex():
+    g = gar3()
+    for query in (lambda: g.phi_pow("w", 1, "x"), lambda: g.phi_inv("w", "x"),
+                  lambda: g.phi_order("w"), lambda: g.phi("w", "x")):
+        with pytest.raises(GraphError):
+            query()
+
+
 def test_lazy_phi_pow_past_the_cap():
     g = f_graph()
     with pytest.raises(GraphError):

@@ -1,16 +1,19 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trickle.confluence import random_piling
 from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
 from trickle.graph import GraphError, INFINITY, TrickleGraph
 from trickle.garside import letter_length
 from trickle.pilings import (GroupElement, element_from_text,
                              from_syllables, is_finite,
-                             make_stratum, parse_word, normalize,
+                             make_stratum, parse_word, normalize, product,
                              push_syllable, stratum_add, stratum_can_add,
                              stratum_extract, stratum_remove)
 
@@ -126,6 +129,41 @@ def test_normalize_examples(j3):
 def test_normalize_drops_empty_strata(j3):
     assert normalize(j3, ((), strat(j3, (B, 1)), ())) == (strat(j3, (B, 1)),)
     assert normalize(j3, ((),)) == ()
+
+
+def _random_word(g, rng, length):
+    word = []
+    for _ in range(length):
+        v = rng.choice(g.vertices)
+        m = g.mu(v)
+        word.append((v, rng.choice((-2, -1, 1, 2)) if m == INFINITY else rng.randrange(1, m)))
+    return word
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_product_is_normalize_of_concatenation(name):
+    rng = random.Random(17)
+    base = fixture(name)
+    for g in (base, base.dual()):
+        pool = [normalize(g, random_piling(g, rng, max_len=6)) for _ in range(15)]
+        pool += [from_syllables(g, _random_word(g, rng, rng.randrange(30))).piling
+                 for _ in range(15)]
+        for _ in range(150):
+            a, b = rng.choice(pool), rng.choice(pool)
+            assert product(g, a, b) == normalize(g, a + b)
+
+
+@pytest.mark.parametrize("name", ["CSTAR", "J5", "RAAG-C6"])
+def test_long_word_is_the_fold_of_its_letters(name):
+    # from_syllables goes through the memoized pass of normalize, the fold
+    # through products started at the junction
+    g = fixture(name)
+    rng = random.Random(29)
+    for _ in range(3):
+        word = _random_word(g, rng, 400)
+        letters = [from_syllables(g, [s]) for s in word]
+        folded = functools.reduce(operator.mul, letters, GroupElement.identity(g))
+        assert from_syllables(g, word) == folded
 
 
 def test_from_word_examples(j3, g3):

@@ -58,6 +58,8 @@ def test_encode_examples():
     assert e.kernel == from_syllables(kjn_graph(3), [((1, 2, 3), 1)])
     assert vjn_equal(3, "r1 r2 r1", "r2 r1 r2")
     assert not vjn_equal(3, "x[1,2]", "r1")
+    with pytest.raises(GraphError):
+        vjn_encode(3, [("r", 3)])
 
 
 def _word(tokens):
