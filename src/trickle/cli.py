@@ -20,6 +20,11 @@ from .pilings import element_from_text, format_word, is_finite
 NEGATIVE = 1
 USAGE = 2
 
+# Largest --n per family, chosen so that the largest allowed size runs in
+# under about 2 s: the graphs grow polynomially (cactus, raag, racg) or
+# factorially (kjn, vjn) in n, and writing them out is quadratic.
+MAX_N = {"raag": 2000, "racg": 2000, "cactus": 25, "kjn": 6, "vjn": 6}
+
 
 def _split_list(text):
     """Split on top-level commas, leaving bracketed ids like [1,2] intact."""
@@ -46,6 +51,11 @@ def _load(path, order_override=None):
 def _fail(message):
     click.echo(f"error: {message}", err=True)
     sys.exit(USAGE)
+
+
+def _check_n(family, n):
+    if n > MAX_N[family]:
+        _fail(f"--n {n} is above the bound {MAX_N[family]} for {family}")
 
 
 def _ranking_line(graph):
@@ -204,6 +214,8 @@ def confluence_cmd(graph_path, max_support, max_exp, samples, seed):
               help="base graph file for gp (vertices, mu, edges only)")
 def example_cmd(family, n, cycle, base_path):
     """Emit a stock graph as JSON on stdout."""
+    if family in MAX_N:
+        _check_n(family, n)
     if family in ("raag", "racg"):
         base = families.cycle_graph(n) if cycle else families.path_graph(n)
         g = (families.raag if family == "raag" else families.racg)(*base)
@@ -240,6 +252,7 @@ def vjn_group():
 @click.argument("word2")
 def vjn_eq_cmd(n, word1, word2):
     """Equality of two virtual cactus words (tokens x[p,q], r<i>)."""
+    _check_n("vjn", n)
     same = vjn.vjn_equal(n, word1, word2)
     click.echo("equal" if same else "not equal")
     sys.exit(0 if same else NEGATIVE)

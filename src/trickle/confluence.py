@@ -53,7 +53,7 @@ def _check_bounds(max_support, max_exp):
                          f"got {max_support} and {max_exp}")
 
 
-def enumerate_strata(graph, max_support, max_exp, include_empty=True):
+def enumerate_strata(graph, max_support, max_exp):
     """All strata with support size and exponent magnitude within bounds."""
     if not graph.finite:
         raise GraphError("stratum enumeration needs a finite graph")
@@ -69,7 +69,7 @@ def enumerate_strata(graph, max_support, max_exp, include_empty=True):
                 extend(clique, [w for w in candidates[i + 1:] if graph.edge(v, w)])
 
     extend([], verts)
-    out = [()] if include_empty else []
+    out = [()]
     for clique in cliques:
         ranges = [[(v, a) for a in exponent_range(graph, v, max_exp)] for v in clique]
         for sylls in itertools.product(*ranges):

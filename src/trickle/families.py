@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from .dyadic import Dyadic
 from .graph import INFINITY, GraphError, TrickleGraph
+from .thompson import f_graph
+from .vjn import kjn_graph
 
 
 def path_graph(n: int):
@@ -141,16 +143,6 @@ def affine_quandle_graph() -> TrickleGraph:
 # fixture registry (tests, scripts and the CLI share these)
 
 
-def _kjn(n):
-    from .vjn import kjn_graph
-    return kjn_graph(n)
-
-
-def _f_graph():
-    from .thompson import f_graph
-    return f_graph()
-
-
 FIXTURES = {
     "J2": lambda: cactus(2),
     "J3": lambda: cactus(3),
@@ -162,14 +154,14 @@ FIXTURES = {
     "RACG-C6": lambda: racg(*cycle_graph(6), name="racg-c6"),
     "RAAG-P6": lambda: raag(*path_graph(6), name="raag-p6"),
     "RAAG-C6": lambda: raag(*cycle_graph(6), name="raag-c6"),
-    "KJ2": lambda: _kjn(2),
-    "KJ3": lambda: _kjn(3),
-    "KJ4": lambda: _kjn(4),
+    "KJ2": lambda: kjn_graph(2),
+    "KJ3": lambda: kjn_graph(3),
+    "KJ4": lambda: kjn_graph(4),
 }
 
 LAZY_FIXTURES = {
     "QUANDLE": affine_quandle_graph,
-    "F": _f_graph,
+    "F": f_graph,
 }
 
 

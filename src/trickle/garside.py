@@ -27,9 +27,7 @@ def is_pregarside(graph) -> bool:
     """Every vertex label infinite."""
     if graph.finite:
         return all(graph.mu(v) == INFINITY for v in graph.vertices)
-    if graph._mu_constant is not None:
-        return graph._mu_constant == INFINITY
-    raise GraphError("cannot decide labels of a lazy graph with a non-constant mu")
+    return graph._mu_constant == INFINITY
 
 
 def _require_pregarside(graph):

@@ -37,6 +37,7 @@ from math import inf, lcm
 
 INFINITY = inf
 LAZY_POWER_CAP = 10 ** 6
+MAX_WITNESSES = 20      # listed per axiom in one report
 
 
 class GraphError(ValueError):
@@ -91,6 +92,19 @@ def _cycles(table):
             cycle = tuple(cycle)
             out.update((z, (cycle, i)) for i, z in enumerate(cycle))
     return out
+
+
+def _not_a_bijection(x, table, star, verts):
+    """Why ``table`` is no bijection of ``star``, naming preimages in vertex order."""
+    pos = {v: i for i, v in enumerate(verts)}
+    inv = {}
+    for y in sorted(table, key=pos.__getitem__):
+        img = table[y]
+        if img not in star:
+            return f"phi_{x!r} sends {y!r} to {img!r} outside the star"
+        if img in inv:
+            return f"phi_{x!r} is not injective: {inv[img]!r} and {y!r} both map to {img!r}"
+        inv[img] = y
 
 
 class TrickleGraph:
@@ -179,18 +193,11 @@ class TrickleGraph:
                     raise GraphError(f"phi[{x!r}] defined at {y!r}, which is not in star({x!r})")
             table = {y: given.get(y, y) for y in star}
             phi_tab[x] = table
-            inv = {}
-            bad = None
-            for y, img in table.items():
-                if img not in star:
-                    bad = f"phi_{x!r} sends {y!r} to {img!r} outside the star"
-                elif img in inv:
-                    bad = f"phi_{x!r} is not injective: {inv[img]!r} and {y!r} both map to {img!r}"
-                else:
-                    inv[img] = y
-            phi_bad[x] = bad
-            if bad is None:
+            if set(table.values()) == star:
+                phi_bad[x] = None
                 cycles[x] = _cycles(table)
+            else:
+                phi_bad[x] = _not_a_bijection(x, table, star, verts)
 
         self._finite = True
         self._mu = mu_map
@@ -214,13 +221,13 @@ class TrickleGraph:
         return self
 
     @classmethod
-    def lazy(cls, *, edge, less, mu, phi, phi_inv, name="lazy graph",
-             contains=None, parse_vertex=None, format_vertex=None):
+    def lazy(cls, *, edge, less, mu, phi, phi_inv, contains, name="lazy graph",
+             parse_vertex=None, format_vertex=None):
         """Infinite graph given by query callables.
 
         ``less`` must be a total order usable directly as the normal-form
-        ranking, ``mu`` may be a callable or a constant, and both ``phi``
-        and ``phi_inv`` are required: no generic inversion is attempted on
+        ranking, ``mu`` is the label of every vertex, and both ``phi`` and
+        ``phi_inv`` are required: no generic inversion is attempted on
         infinite stars.
         """
         self = object.__new__(cls)
@@ -228,11 +235,10 @@ class TrickleGraph:
         self.vertices = None
         self._edge_fn = edge
         self._less_fn = less
-        self._mu_fn = mu if callable(mu) else (lambda v, _m=mu: _m)
-        self._mu_constant = None if callable(mu) else mu
+        self._mu_constant = mu
         self._phi_fn = phi
         self._phi_inv_fn = phi_inv
-        self._contains = contains or (lambda v: True)
+        self._contains = contains
         self.name = name
         self.parse_vertex = parse_vertex or _default_parse
         self.format_vertex = format_vertex or _default_format
@@ -302,7 +308,7 @@ class TrickleGraph:
         return x != y and not self.less(x, y) and not self.less(y, x)
 
     def mu(self, x):
-        return self._mu[x] if self._finite else self._mu_fn(x)
+        return self._mu[x] if self._finite else self._mu_constant
 
     def star(self, x):
         if not self._finite:
@@ -335,7 +341,7 @@ class TrickleGraph:
 
     def phi_pow(self, x, a, y):
         """Apply phi_x a times to y (negative a uses phi_inv)."""
-        if a == 0 or x == y:
+        if a == 0:
             return y
         if self._finite:
             try:
@@ -343,6 +349,8 @@ class TrickleGraph:
             except KeyError:
                 raise GraphError(self._phi_bad.get(x) or f"{y!r} is not in star({x!r})") from None
             return cycle[(i + a) % len(cycle)]
+        if x == y:
+            return y
         if abs(a) > LAZY_POWER_CAP:
             raise GraphError(f"phi power {a} exceeds the iteration cap on a lazy graph")
         fn = self._phi_fn if a > 0 else self._phi_inv_fn
@@ -425,133 +433,104 @@ class TrickleGraph:
 # validation
 
 
-def validate(graph: TrickleGraph, max_witnesses_per_axiom=20) -> ValidationReport:
+def validate(graph: TrickleGraph) -> ValidationReport:
     """Check the axioms on a finite graph, reporting witnesses.
 
     Structural problems with the star maps (not a bijection of the star,
     or not preserving adjacency) are reported first; axioms (c)-(g) are
-    only evaluated on vertices with structurally sound maps.
+    only evaluated on vertices with structurally sound maps.  Witnesses
+    come in ranking order, at most MAX_WITNESSES per axiom.
     """
     if not graph.finite:
         raise GraphError("validate needs a finite graph; use spot_check for lazy graphs")
     report = ValidationReport()
-    counts = {}
-
-    def hit(axiom, witness, detail):
-        n = counts.get(axiom, 0)
-        counts[axiom] = n + 1
-        if n < max_witnesses_per_axiom:
-            report.violations.append(Violation(axiom, witness, detail))
-
-    verts = graph.vertices
-    sound = set()
-    for x in verts:
-        bad = graph._phi_bad[x]
-        if bad:
-            hit("structure", (x,), bad)
-            continue
-        star = graph.star(x)
-        ok = True
-        for y, z in itertools.combinations(star, 2):
-            if graph.edge(y, z) != graph.edge(graph.phi(x, y), graph.phi(x, z)):
-                hit("structure", (x, y, z),
-                    f"phi_{x!r} does not preserve adjacency on ({y!r}, {z!r})")
-                ok = False
-        if ok:
-            sound.add(x)
-
-    for x in verts:
-        for y in verts:
-            if graph.less(x, y) and not graph.edge(x, y):
-                hit("a", (x, y), "x < y without an edge {x, y}")
-
-    for x in verts:
-        for y in graph._adj[x]:
-            if not graph.incomparable(x, y):
-                continue
-            for z in verts:
-                if not graph.leq(z, y) or z == y:
-                    continue
-                if not graph.edge(x, z):
-                    hit("b", (x, y, z), "z <= y on an incomparable edge but {x, z} missing")
-                elif not graph.incomparable(x, z):
-                    hit("b", (x, y, z), "z <= y on an incomparable edge but x, z comparable")
-
-    for x in sorted(sound, key=graph.rank):
-        star = sorted(graph.star(x), key=graph.rank)
-        for y in star:
-            fy = graph.phi(x, y)
-            if fy != y and not graph.less(y, x):
-                hit("d", (x, y), f"phi_{x!r} moves {y!r}, which is not below {x!r}")
-            if graph.mu(fy) != graph.mu(y):
-                hit("f", (x, y), f"mu changes along phi_{x!r}: mu({y!r}) != mu({fy!r})")
-            for z in star:
-                if graph.leq(z, y) != graph.leq(graph.phi(x, z), fy):
-                    hit("c", (x, y, z), f"phi_{x!r} does not preserve the order on the star")
-        m = graph.mu(x)
-        if m != INFINITY and m % graph.phi_order(x) != 0:
-            hit("e", (x,), f"phi_{x!r} has order {graph.phi_order(x)}, not a divisor of mu = {m}")
-
-    for x in sorted(sound, key=graph.rank):
-        for y in graph._adj[x]:
-            if not (graph.less(y, x) and y in sound):
-                continue
-            for z in verts:
-                if not graph.less(z, y):
-                    continue
-                try:
-                    lhs = graph.phi(x, graph.phi(y, z))
-                    rhs = graph.phi(graph.phi(x, y), graph.phi(x, z))
-                except GraphError as e:
-                    hit("g", (z, y, x), f"cannot evaluate the exchange identity: {e}")
-                    continue
-                if lhs != rhs:
-                    hit("g", (z, y, x),
-                        f"phi_{x!r} . phi_{y!r} sends {z!r} to {lhs!r}, "
-                        f"the exchanged composite to {rhs!r}")
+    _check(graph, graph.vertices, report, {})
     return report
 
 
 def spot_check(graph: TrickleGraph, samples) -> ValidationReport:
     """Sampled axiom check for lazy graphs.
 
-    Each sample is a triple of vertices; axioms (a)-(d), (f), (g) and the
-    phi/phi_inv round trip are checked on the triple only.  Axiom (e) is
-    skipped: it needs the order of phi_x, which is not observable from
-    finitely many queries on an infinite star.
+    Each sample is a triple of vertices, checked as ``validate`` checks a
+    graph but with every star cut down to the triple.  Axiom (e) is
+    checked on finite graphs only: it needs the order of phi_x, which
+    finitely many queries do not reveal on an infinite star.
     """
     report = ValidationReport(checked=0)
-
-    def hit(axiom, witness, detail):
-        report.violations.append(Violation(axiom, witness, detail))
-
+    counts = {}
     for triple in samples:
         report.checked += 1
-        triple = tuple(triple)
-        for x, y in itertools.permutations(triple, 2):
-            if graph.less(x, y) and not graph.edge(x, y):
-                hit("a", (x, y), "x < y without an edge")
-        for x, y in itertools.permutations(triple, 2):
-            if x == y or not graph.edge(x, y):
-                continue
-            fy = graph.phi(x, y)
-            if graph.phi_inv(x, fy) != y:
-                hit("structure", (x, y), "phi_inv does not undo phi")
-            if fy != y and not graph.less(y, x):
-                hit("d", (x, y), "phi moves a vertex that is not below its base")
-            if graph.mu(fy) != graph.mu(y):
-                hit("f", (x, y), "mu changes along phi")
-        for x, y, z in itertools.permutations(triple, 3):
-            if graph.edge(x, y) and graph.incomparable(x, y) and graph.leq(z, y):
-                if not (graph.edge(x, z) and graph.incomparable(x, z)):
-                    hit("b", (x, y, z), "downward closure of an incomparable edge fails")
-            if graph.edge(x, y) and graph.edge(x, z):
-                if graph.leq(z, y) != graph.leq(graph.phi(x, z), graph.phi(x, y)):
-                    hit("c", (x, y, z), "phi does not preserve the order on the star")
-        for z, y, x in itertools.permutations(triple, 3):
-            if graph.less(z, y) and graph.less(y, x):
-                lhs = graph.phi(x, graph.phi(y, z))
-                rhs = graph.phi(graph.phi(x, y), graph.phi(x, z))
-                if lhs != rhs:
-                    hit("g", (z, y, x), "exchange identity fails on the chain")
+        _check(graph, triple, report, counts)
     return report
+
+
+def _check(graph, pool, report, counts):
+    """Add the violations among the vertices of ``pool`` to ``report``,
+    with every star cut down to the pool; pool and stars are walked in
+    ranking order.  ``counts`` holds the hits per axiom so far."""
+    def hit(axiom, witness, detail):
+        counts[axiom] = counts.get(axiom, 0) + 1
+        if counts[axiom] <= MAX_WITNESSES:
+            report.violations.append(Violation(axiom, witness, detail))
+
+    for v in pool:
+        if not graph.contains_vertex(v):
+            raise GraphError(f"{v!r} is not a vertex of {graph.name}")
+    pool = sorted(set(pool), key=graph.sort_key)
+    star = {x: [y for y in pool if y == x or graph.edge(x, y)] for x in pool}
+
+    sound = set()
+    for x in pool:
+        try:
+            faults = [y for y in star[x] if graph.phi_inv(x, graph.phi(x, y)) != y]
+        except GraphError as e:     # finite: phi_x is not a bijection of star(x)
+            hit("structure", (x,), str(e))
+            continue
+        for y in faults:
+            hit("structure", (x, y), "phi_inv does not undo phi")
+        for y, z in itertools.combinations(star[x], 2):
+            if graph.edge(y, z) != graph.edge(graph.phi(x, y), graph.phi(x, z)):
+                hit("structure", (x, y, z),
+                    f"phi_{x!r} does not preserve adjacency on ({y!r}, {z!r})")
+                faults.append(y)
+        if not faults:
+            sound.add(x)
+
+    for x in pool:
+        for y in pool:
+            if graph.less(x, y) and not graph.edge(x, y):
+                hit("a", (x, y), "x < y without an edge {x, y}")
+
+    for x in pool:
+        for y in (y for y in star[x] if graph.incomparable(x, y)):
+            for z in (z for z in pool if graph.less(z, y)):
+                if not graph.edge(x, z):
+                    hit("b", (x, y, z), "z <= y on an incomparable edge but {x, z} missing")
+                elif not graph.incomparable(x, z):
+                    hit("b", (x, y, z), "z <= y on an incomparable edge but x, z comparable")
+
+    for x in (x for x in pool if x in sound):
+        for y in star[x]:
+            fy = graph.phi(x, y)
+            if fy != y and not graph.less(y, x):
+                hit("d", (x, y), f"phi_{x!r} moves {y!r}, which is not below {x!r}")
+            if graph.mu(fy) != graph.mu(y):
+                hit("f", (x, y), f"mu changes along phi_{x!r}: mu({y!r}) != mu({fy!r})")
+            for z in star[x]:
+                if graph.leq(z, y) != graph.leq(graph.phi(x, z), fy):
+                    hit("c", (x, y, z), f"phi_{x!r} does not preserve the order on the star")
+            if not (graph.less(y, x) and y in sound):
+                continue
+            for z in (z for z in pool if graph.less(z, y)):
+                try:
+                    lhs = graph.phi(x, graph.phi(y, z))
+                    rhs = graph.phi(fy, graph.phi(x, z))
+                except GraphError as e:
+                    hit("g", (z, y, x), f"cannot evaluate the exchange identity: {e}")
+                    continue
+                if lhs != rhs:
+                    hit("g", (z, y, x), f"phi_{x!r} . phi_{y!r} sends {z!r} to {lhs!r}, "
+                                        f"the exchanged composite to {rhs!r}")
+        m = graph.mu(x)
+        if graph.finite and m != INFINITY and m % graph.phi_order(x):
+            hit("e", (x,), f"phi_{x!r} has order {graph.phi_order(x)}, not a divisor of mu = {m}")

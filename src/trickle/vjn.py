@@ -19,6 +19,7 @@ subgroup on the consecutive tuples.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,16 +51,6 @@ def transposition(n: int, i: int) -> Perm:
 # the kernel graph on tuples of distinct points
 
 
-def _contiguous_sub(a: tuple, b: tuple) -> bool:
-    """Is a a contiguous proper subtuple of b?"""
-    if len(a) >= len(b):
-        return False
-    for p in range(len(b) - len(a) + 1):
-        if b[p:p + len(a)] == a:
-            return True
-    return False
-
-
 def _tuple_token(t: tuple) -> str:
     return "(" + ",".join(map(str, t)) + ")"
 
@@ -81,59 +72,23 @@ def kjn_graph(n: int) -> TrickleGraph:
     the star map reflecting a subtuple's position block."""
     if n < 2:
         raise GraphError("the kernel graph needs n >= 2")
-    verts = []
-    for length in range(2, n + 1):
-        verts.extend(_distinct_tuples(n, length))
-    vset = set(verts)
-
-    edges = []
-    less = []
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            sub_ab = _contiguous_sub(a, b)
-            sub_ba = _contiguous_sub(b, a)
-            disjoint = not (set(a) & set(b))
-            if sub_ab or sub_ba or disjoint:
-                edges.append((a, b))
-            if sub_ab:
-                less.append((a, b))
-            elif sub_ba:
-                less.append((b, a))
-
-    phi = {}
-    for y in verts:
-        ell = len(y)
-        table = {}
-        for k in range(2, ell):
-            for p in range(ell - k + 1):
-                sub = y[p:p + k]
-                table[sub] = tuple(y[ell - k - p + j] for j in range(k))
-        if table:
-            phi[y] = table
-    assert all(v in vset for t in phi.values() for v in t.values())
-
+    verts = [t for length in range(2, n + 1)
+             for t in itertools.permutations(range(1, n + 1), length)]
+    # the contiguous proper subtuples of y are exactly the keys of its table
+    phi = {y: {y[p:p + k]: y[len(y) - k - p:len(y) - p]
+               for k in range(2, len(y)) for p in range(len(y) - k + 1)}
+           for y in verts}
+    less = [(sub, y) for y, table in phi.items() for sub in table]
+    by_support = {}
+    for t in verts:
+        by_support.setdefault(sum(1 << p for p in t), []).append(t)
+    disjoint = [(a, b) for s, r in itertools.combinations(by_support, 2) if not s & r
+                for a in by_support[s] for b in by_support[r]]
     ranking = sorted(verts, key=lambda t: (len(t), t))
-    return TrickleGraph.build(verts, 2, edges, less, phi, ranking=ranking,
+    return TrickleGraph.build(verts, 2, less + disjoint, less, phi, ranking=ranking,
                               name=f"kj{n}",
                               parse_vertex=_parse_tuple,
                               format_vertex=_tuple_token)
-
-
-def _distinct_tuples(n, length):
-    out = []
-
-    def grow(prefix):
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            return
-        for t in range(1, n + 1):
-            if t not in prefix:
-                prefix.append(t)
-                grow(prefix)
-                prefix.pop()
-
-    grow([])
-    return out
 
 
 # ----------------------------------------------------------------------

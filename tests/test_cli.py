@@ -150,11 +150,13 @@ def test_confluence_rejects_negative_samples(paths, option):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _python(*args):
-    """Run a fresh interpreter on this checkout's sources, as a user would."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _python(*args, **env):
+    """Run a fresh interpreter on this checkout's sources, as a user would;
+    a run past the timeout fails the test instead of hanging it."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
 
 
 @pytest.mark.parametrize("option", [["--samples", "-1"], ["--strategies", "-2"]],
@@ -189,8 +191,13 @@ with decimal.localcontext(prec=5000):
     ["eq", "j3", "[1,2]", "bogus"],
     ["example", "raag", "--n", "0"],
     ["example", "racg", "--n", "-1", "--cycle"],
+    ["example", "kjn", "--n", "7"],
+    ["vjn", "eq", "--n", "7", "r1", "r1"],
+    ["example", "cactus", "--n", "200"],
+    ["example", "raag", "--n", "10000"],
 ], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "f-nf-huge-denominator",
-        "eq-unknown-token", "example-raag-n-0", "example-racg-cycle-n-negative"])
+        "eq-unknown-token", "example-raag-n-0", "example-racg-cycle-n-negative",
+        "example-kjn-n-7", "vjn-eq-n-7", "example-cactus-n-200", "example-raag-n-10000"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     files = dict(paths)
     for name in BAD_GRAPHS.keys() & set(args):
@@ -202,6 +209,20 @@ def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert len(lines[0]) <= 300
+
+
+def test_validate_output_ignores_the_hash_seed(tmp_path):
+    # set iteration order follows PYTHONHASHSEED; the witnesses must not
+    doc = {"vertices": [{"id": v, "mu": 2} for v in "abcdx"],
+           "edges": [["a", "x"], ["b", "x"], ["c", "x"], ["d", "x"], ["a", "b"], ["c", "d"]],
+           "phi": {"x": [["a", "c"], ["c", "a"]], "a": [["b", "x"], ["x", "b"]],
+                   "b": [["a", "x"], ["x", "x"]]}}
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    runs = [_python("-m", "trickle.cli", "validate", str(path), PYTHONHASHSEED=str(seed))
+            for seed in range(4)]
+    assert runs[0].returncode == 2 and "structural error" in runs[0].stdout
+    assert all(r.stdout == runs[0].stdout and r.stderr == runs[0].stderr for r in runs)
 
 
 def test_example_emission_parses_back(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -94,6 +95,13 @@ def test_phi_pow_outside_star():
         j3.phi_pow("[1,2]", 2, "[2,3]")   # 2 is a multiple of the order of phi_[1,2]
 
 
+def test_phi_pow_follows_a_map_that_moves_its_base():
+    # phi_x(x) = y breaks (d), but the queries must still agree
+    g = TrickleGraph.build(["x", "y"], INFINITY, [("x", "y")], phi={"x": {"x": "y", "y": "x"}})
+    assert g.phi_pow("x", 1, "x") == g.phi("x", "x") == "y"
+    assert g.phi_inv("x", "y") == "x"
+
+
 def test_phi_queries_on_an_unknown_vertex():
     g = gar3()
     for query in (lambda: g.phi_pow("w", 1, "x"), lambda: g.phi_inv("w", "x"),
@@ -175,6 +183,39 @@ def test_spot_check_thompson_chain():
 def test_spot_check_quandle_chain():
     g = affine_quandle_graph()
     assert spot_check(g, [(Dyadic(0), Dyadic(1, 1), Dyadic(1))]).ok
+
+
+def _small_graphs():
+    for name in sorted(FIXTURES):
+        yield name, fixture(name)
+        yield f"dual({name})", fixture(name).dual()
+    for axiom in sorted(BROKEN):
+        yield f"broken-{axiom}", BROKEN[axiom]()
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _small_graphs()
+                               if len(g.vertices) <= 12])
+def test_spot_check_on_every_triple_agrees_with_validate(g):
+    full = validate(g)
+    assert "structure" not in full.axioms_violated()
+    sampled = spot_check(g, itertools.combinations(g.vertices, 3))
+    assert sampled.axioms_violated() == full.axioms_violated()
+
+
+NOT_INJECTIVE = TrickleGraph.build(["x", "y", "z"], INFINITY, edges=[("x", "y"), ("x", "z")],
+                                   phi={"x": {"y": "z", "z": "z"}})
+BREAKS_ADJACENCY = TrickleGraph.build(     # phi_x swaps z and w, but only y-z is an edge
+    ["x", "y", "z", "w"], INFINITY,
+    edges=[("x", "y"), ("x", "z"), ("x", "w"), ("y", "z")],
+    less=[("y", "x"), ("z", "x"), ("w", "x")],
+    phi={"x": {"z": "w", "w": "z"}})
+
+
+@pytest.mark.parametrize("g", [NOT_INJECTIVE, BREAKS_ADJACENCY], ids=["not-injective", "adjacency"])
+def test_spot_check_reports_unsound_star_maps(g):
+    assert "structure" in validate(g).axioms_violated()
+    report = spot_check(g, [("x", "y", "z")])
+    assert "structure" in report.axioms_violated()
 
 
 def test_spot_check_vacuous():

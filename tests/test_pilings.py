@@ -13,7 +13,7 @@ from trickle.graph import GraphError, INFINITY, TrickleGraph
 from trickle.garside import letter_length
 from trickle.pilings import (GroupElement, element_from_text,
                              from_syllables, is_finite,
-                             make_stratum, parse_word, normalize, product,
+                             format_word, make_stratum, parse_word, normalize, product,
                              push_syllable, stratum_add, stratum_can_add,
                              stratum_extract, stratum_remove)
 
@@ -260,6 +260,30 @@ def test_nf_round_trip_random(pairs):
     elt = from_syllables(g, pairs)
     assert element_from_text(g, elt.nf_str()) == elt
     assert from_syllables(g, elt.nf()) == elt
+
+
+_FUZZ_GRAPHS = {name: fixture(name) for name in ("GAR3", "J3", "F", "KJ3")}
+_FUZZ_TOKENS = {name: [g.format_vertex(v) for v in g.vertices] if g.finite
+                else ["0", "1", "-1/2", "3/8", "inf", "-7/4"]
+                for name, g in _FUZZ_GRAPHS.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_GRAPHS)), st.data())
+def test_parse_word_fuzz(name, data):
+    # any text parses or raises ValueError, and a parsed word survives formatting
+    g = _FUZZ_GRAPHS[name]
+    name_part = st.one_of(st.sampled_from(_FUZZ_TOKENS[name]),
+                          st.text("xyzinf[](),/^-0123456789", max_size=8))
+    exponent = st.one_of(st.just(""), st.integers(-10 ** 9, 10 ** 9).map("^{}".format),
+                         st.text("^-0123456789", max_size=4))
+    tokens = data.draw(st.lists(st.tuples(name_part, exponent), max_size=6))
+    text = data.draw(st.sampled_from([" ", "  ", "\t"])).join(a + b for a, b in tokens)
+    try:
+        word = parse_word(g, text)
+    except ValueError:
+        return
+    assert parse_word(g, format_word(g, word)) == word
 
 
 # ----------------------------------------------------------------------
