@@ -46,7 +46,7 @@ def main():
         print(f"  {e.nf_str() or '1':12} {left:12} | {right}")
 
     print("atom lcm table:")
-    for a, b in itertools.combinations(sorted(g.vertices, key=g.rank), 2):
+    for a, b in itertools.combinations(g.vertices, 2):
         lcm = gar.lcm_atoms(g, {a, b})
         brute = gar.lcm_bruteforce(from_syllables(g, [(a, 1)]),
                                    from_syllables(g, [(b, 1)]),

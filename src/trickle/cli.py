@@ -22,7 +22,7 @@ USAGE = 2
 
 # Largest --n per family, chosen so that the largest allowed size runs in
 # under about 2 s: the graphs grow polynomially (cactus, raag, racg) or
-# factorially (kjn, vjn) in n, and writing them out is quadratic.
+# factorially (kjn, vjn) in n.
 MAX_N = {"raag": 2000, "racg": 2000, "cactus": 25, "kjn": 6, "vjn": 6}
 
 
@@ -222,14 +222,10 @@ def example_cmd(family, n, cycle, base_path):
     elif family == "gp":
         if base_path is None:
             _fail("gp needs --graph with a base file")
-        base = jsonio.load_graph(base_path)
-        if any(base.less(x, y) for x in base.vertices for y in base.vertices):
+        vertices, mu, edges, less, _ = jsonio.load_graph(base_path).tables()
+        if less:
             _fail("gp base graph must not carry an order")
-        g = families.graph_product(
-            base.vertices,
-            [(x, y) for i, x in enumerate(base.vertices)
-             for y in base.vertices[i + 1:] if base.edge(x, y)],
-            {v: base.mu(v) for v in base.vertices})
+        g = families.graph_product(vertices, edges, mu)
     elif family == "cactus":
         g = families.cactus(n)
     elif family == "cstar":

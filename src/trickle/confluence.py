@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graph import INFINITY, GraphError
@@ -206,13 +206,9 @@ def resolve(graph, pair: CriticalPair) -> bool:
 @dataclass
 class ConfluenceReport:
     pairs_checked: int = 0
-    failures: list = None
+    failures: list = field(default_factory=list)
     samples_checked: int = 0
-    sample_failures: list = None
-
-    def __post_init__(self):
-        self.failures = self.failures or []
-        self.sample_failures = self.sample_failures or []
+    sample_failures: list = field(default_factory=list)
 
     @property
     def ok(self):
@@ -346,7 +342,7 @@ def normalize_random_strategy(graph, piling, rng: random.Random):
 
 
 def check_strategy_independence(graph, rng=None, pilings=1000, strategies=20,
-                                max_len=4, max_support=3, max_exp=2) -> ConfluenceReport:
+                                max_support=3, max_exp=2) -> ConfluenceReport:
     """Many random pilings, each reduced under many random strategies."""
     if pilings < 0 or strategies < 1:
         raise GraphError(f"pilings must be at least 0 and strategies at least 1, "
@@ -354,7 +350,7 @@ def check_strategy_independence(graph, rng=None, pilings=1000, strategies=20,
     rng = rng or random.Random(0)
     report = ConfluenceReport()
     for _ in range(pilings):
-        piling = random_piling(graph, rng, max_len, max_support, max_exp)
+        piling = random_piling(graph, rng, max_support=max_support, max_exp=max_exp)
         report.samples_checked += 1
         forms = {normalize_random_strategy(graph, piling, rng) for _ in range(strategies)}
         forms.add(normalize(graph, piling))

@@ -97,7 +97,7 @@ def _require_finite_complete(graph):
 def square_free(graph) -> list:
     """All descending products of distinct vertices, one per subset."""
     _require_finite_complete(graph)
-    desc = sorted(graph.vertices, key=graph.rank, reverse=True)
+    desc = graph.vertices[::-1]
     out = []
     for r in range(len(desc) + 1):
         for combo in itertools.combinations(desc, r):
@@ -108,8 +108,7 @@ def square_free(graph) -> list:
 def garside_element(graph) -> GroupElement:
     """The descending product of all the vertices."""
     _require_finite_complete(graph)
-    desc = sorted(graph.vertices, key=graph.rank, reverse=True)
-    return from_syllables(graph, [(v, 1) for v in desc])
+    return from_syllables(graph, [(v, 1) for v in reversed(graph.vertices)])
 
 
 def lcm_atoms(graph, X) -> GroupElement:

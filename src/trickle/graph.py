@@ -9,9 +9,10 @@ oracle exposed here: edge, less, mu, phi, phi_pow (phi_inv is phi_pow
 with exponent -1).
 
 Two flavours exist.  Finite graphs are table-backed (built from explicit
-vertex, edge, order and star-map data) and support full validation and
-serialization; each sound star map is also kept as its cycles, y ->
-(cycle, index), so phi_x^a(y) is cycle[(index + a) % len(cycle)].
+vertex, edge, order and star-map data, which ``tables`` hands back) and
+support full validation and serialization; each sound star map is also
+kept as its cycles, y -> (cycle, index), so phi_x^a(y) is
+cycle[(index + a) % len(cycle)].
 Infinite families are "lazy": they supply query callables instead of
 tables, must provide both phi and phi_inv, and are checked by sampling
 (spot_check) rather than exhaustively.
@@ -112,7 +113,7 @@ class TrickleGraph:
 
     Immutable after construction; all methods are pure queries, so shared
     concurrent reads are safe.  Construct finite graphs with ``build`` and
-    infinite ones with ``lazy``.
+    infinite ones with ``lazy``; derived graphs come out of the same two.
     """
 
     def __init__(self):
@@ -140,9 +141,7 @@ class TrickleGraph:
             raise GraphError("duplicate vertices")
         vset = set(verts)
 
-        if callable(mu):
-            mu_map = {v: mu(v) for v in verts}
-        elif isinstance(mu, dict):
+        if isinstance(mu, dict):
             mu_map = {v: mu[v] for v in verts}
         else:
             mu_map = {v: mu for v in verts}
@@ -366,11 +365,6 @@ class TrickleGraph:
             return self._rank[v]
         return v
 
-    def rank(self, v) -> int:
-        if not self._finite:
-            raise GraphError("rank needs a finite graph")
-        return self._rank[v]
-
     def complete(self) -> bool:
         if not self._finite:
             raise GraphError("completeness check needs a finite graph")
@@ -380,35 +374,49 @@ class TrickleGraph:
     # ------------------------------------------------------------------
     # derived graphs
 
+    def tables(self):
+        """The ``build`` arguments ``(vertices, mu, edges, less, phi)`` of a
+        finite graph: vertices in ranking order, each edge once, the closed
+        order, and in ``phi`` only the entries that move."""
+        if not self._finite:
+            raise GraphError(f"{self.name} is lazy and has no tables")
+        rank = self._rank.__getitem__
+        edges = [(x, y) for x in self.vertices
+                 for y in sorted(self._adj[x], key=rank) if rank(y) > rank(x)]
+        less = [(x, y) for x in self.vertices for y in sorted(self._up[x], key=rank)]
+        phi = {}
+        for x in self.vertices:
+            moved = {y: img for y, img in self._phi[x].items() if img != y}
+            if moved:
+                phi[x] = moved
+        return self.vertices, dict(self._mu), edges, less, phi
+
     def with_ranking(self, ranking):
         """Same graph with an explicit normal-form ranking."""
-        if not self._finite:
-            raise GraphError("rankings apply to finite graphs only")
-        g = object.__new__(TrickleGraph)
-        g.__dict__.update(self.__dict__)
-        ranking = list(ranking)
-        g._check_ranking(ranking, set(self.vertices))
-        g.vertices = tuple(ranking)
-        g._rank = {v: i for i, v in enumerate(g.vertices)}
-        g._dual = None
-        return g
+        return TrickleGraph.build(*self.tables(), ranking=ranking, name=self.name,
+                                  parse_vertex=self.parse_vertex,
+                                  format_vertex=self.format_vertex)
 
     def dual(self):
         """Same graph with every star map replaced by its inverse."""
         if self._dual is not None:
             return self._dual
-        g = object.__new__(TrickleGraph)
-        g.__dict__.update(self.__dict__)
+        name = f"dual({self.name})"
         if self._finite:
             for x in self.vertices:
                 if self._phi_bad[x]:
                     raise GraphError(self._phi_bad[x])
-            g._phi = {x: {img: y for y, img in self._phi[x].items()} for x in self.vertices}
-            g._phi_bad = {x: None for x in self.vertices}
-            g._cycles = {x: _cycles(g._phi[x]) for x in self.vertices}
+            vertices, mu, edges, less, phi = self.tables()
+            phi = {x: {img: y for y, img in moved.items()} for x, moved in phi.items()}
+            g = TrickleGraph.build(vertices, mu, edges, less, phi, ranking=vertices,
+                                   name=name, parse_vertex=self.parse_vertex,
+                                   format_vertex=self.format_vertex)
         else:
-            g._phi_fn, g._phi_inv_fn = self._phi_inv_fn, self._phi_fn
-        g.name = f"dual({self.name})"
+            g = TrickleGraph.lazy(edge=self._edge_fn, less=self._less_fn,
+                                  mu=self._mu_constant, phi=self._phi_inv_fn,
+                                  phi_inv=self._phi_fn, contains=self._contains,
+                                  name=name, parse_vertex=self.parse_vertex,
+                                  format_vertex=self.format_vertex)
         g._dual = self
         self._dual = g
         return g
@@ -417,11 +425,7 @@ class TrickleGraph:
         """Structural equality of finite graphs (tables and ranking)."""
         if not (isinstance(other, TrickleGraph) and self._finite and other._finite):
             return self is other
-        return (self.vertices == other.vertices
-                and self._mu == other._mu
-                and self._adj == other._adj
-                and self._up == other._up
-                and self._phi == other._phi)
+        return self.tables() == other.tables()
 
     def __repr__(self):
         if self._finite:
@@ -454,23 +458,26 @@ def spot_check(graph: TrickleGraph, samples) -> ValidationReport:
     Each sample is a triple of vertices, checked as ``validate`` checks a
     graph but with every star cut down to the triple.  Axiom (e) is
     checked on finite graphs only: it needs the order of phi_x, which
-    finitely many queries do not reveal on an infinite star.
+    finitely many queries do not reveal on an infinite star.  A witness
+    found on several triples is listed once.
     """
     report = ValidationReport(checked=0)
-    counts = {}
+    seen = {}
     for triple in samples:
         report.checked += 1
-        _check(graph, triple, report, counts)
+        _check(graph, triple, report, seen)
     return report
 
 
-def _check(graph, pool, report, counts):
+def _check(graph, pool, report, seen):
     """Add the violations among the vertices of ``pool`` to ``report``,
     with every star cut down to the pool; pool and stars are walked in
-    ranking order.  ``counts`` holds the hits per axiom so far."""
+    ranking order.  ``seen`` maps each axiom to the witnesses reported so
+    far, so a witness found again from another pool is listed once."""
     def hit(axiom, witness, detail):
-        counts[axiom] = counts.get(axiom, 0) + 1
-        if counts[axiom] <= MAX_WITNESSES:
+        witnesses = seen.setdefault(axiom, set())
+        if witness not in witnesses and len(witnesses) < MAX_WITNESSES:
+            witnesses.add(witness)
             report.violations.append(Violation(axiom, witness, detail))
 
     for v in pool:

@@ -125,23 +125,16 @@ def load_graph(path) -> TrickleGraph:
 
 def graph_to_dict(graph: TrickleGraph) -> dict:
     """The document of a finite graph, vertices written as their tokens."""
-    if not graph.finite:
-        raise GraphError("only finite graphs serialize")
-    verts = graph.vertices
-    fmt = graph.format_vertex
-    mu = [{"id": fmt(v), "mu": "inf" if graph.mu(v) == INFINITY else graph.mu(v)}
-          for v in verts]
-    edges = sorted([sorted((fmt(a), fmt(b))) for i, a in enumerate(verts)
-                    for b in verts[i + 1:] if graph.edge(a, b)])
-    less = sorted([fmt(a), fmt(b)] for a in verts for b in verts
-                  if graph.less(a, b))
-    phi = {}
-    for x in verts:
-        moved = sorted([fmt(y), fmt(graph.phi(x, y))] for y in graph.star(x)
-                       if graph.phi(x, y) != y)
-        if moved:
-            phi[fmt(x)] = moved
-    return {"vertices": mu, "less": less, "edges": edges, "phi": phi}
+    vertices, mu, edges, less, phi = graph.tables()
+    fmt = {v: graph.format_vertex(v) for v in vertices}.__getitem__
+    return {
+        "vertices": [{"id": fmt(v), "mu": "inf" if mu[v] == INFINITY else mu[v]}
+                     for v in vertices],
+        "less": sorted([fmt(a), fmt(b)] for a, b in less),
+        "edges": sorted(sorted((fmt(a), fmt(b))) for a, b in edges),
+        "phi": {fmt(x): sorted([fmt(y), fmt(img)] for y, img in moved.items())
+                for x, moved in phi.items()},
+    }
 
 
 def dump_graph(graph: TrickleGraph) -> str:

@@ -62,7 +62,7 @@ def test_ranking_extends_order():
         for x in g.vertices:
             for y in g.vertices:
                 if g.less(x, y):
-                    assert g.rank(x) < g.rank(y)
+                    assert g.sort_key(x) < g.sort_key(y)
 
 
 def test_ranking_override_must_extend_order():
@@ -169,6 +169,52 @@ def test_dual_cstar_inverts_the_cycle():
     assert validate(d).ok
 
 
+def test_dual_refuses_an_unsound_star_map():
+    with pytest.raises(GraphError, match="not injective"):
+        NOT_INJECTIVE.dual()
+
+
+def test_dual_keeps_an_explicit_ranking():
+    d = gar3().with_ranking(["z", "y", "x"]).dual()
+    assert d.vertices == ("z", "y", "x")
+    assert d.phi("x", "y") == "z"
+
+
+def test_lazy_dual_swaps_the_star_maps():
+    g = f_graph()
+    d = g.dual()
+    assert d.dual() is g
+    x, y = Dyadic(0), Dyadic(-1, 1)
+    assert d.phi(x, y) == g.phi_inv(x, y)
+    assert d.phi_inv(x, y) == g.phi(x, y)
+
+
+def test_lazy_graphs_have_no_tables():
+    for query in (lambda g: g.tables(), lambda g: g.with_ranking([TOP])):
+        with pytest.raises(GraphError):
+            query(f_graph())
+
+
+def _small_graphs():
+    for name in sorted(FIXTURES):
+        yield name, fixture(name)
+        yield f"dual({name})", fixture(name).dual()
+    for axiom in sorted(BROKEN):
+        yield f"broken-{axiom}", BROKEN[axiom]()
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _small_graphs()])
+def test_build_from_tables_rebuilds_the_graph(g):
+    vertices, mu, edges, less, phi = g.tables()
+    h = TrickleGraph.build(vertices, mu, edges, less, phi, ranking=g.vertices)
+    assert h.same_structure(g)
+    assert len(edges) == len({frozenset(e) for e in edges})
+    for x in g.vertices:
+        assert h.mu(x) == g.mu(x) and h.star(x) == g.star(x)
+        assert all(h.phi(x, y) == g.phi(x, y) for y in g.star(x))
+        assert all(h.less(x, y) == g.less(x, y) for y in g.vertices)
+
+
 # ----------------------------------------------------------------------
 # spot checks on lazy graphs
 
@@ -183,14 +229,6 @@ def test_spot_check_thompson_chain():
 def test_spot_check_quandle_chain():
     g = affine_quandle_graph()
     assert spot_check(g, [(Dyadic(0), Dyadic(1, 1), Dyadic(1))]).ok
-
-
-def _small_graphs():
-    for name in sorted(FIXTURES):
-        yield name, fixture(name)
-        yield f"dual({name})", fixture(name).dual()
-    for axiom in sorted(BROKEN):
-        yield f"broken-{axiom}", BROKEN[axiom]()
 
 
 @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _small_graphs()
@@ -216,6 +254,14 @@ def test_spot_check_reports_unsound_star_maps(g):
     assert "structure" in validate(g).axioms_violated()
     report = spot_check(g, [("x", "y", "z")])
     assert "structure" in report.axioms_violated()
+
+
+def test_spot_check_lists_each_witness_once():
+    # a < b without an edge shows on three triples but is one witness
+    g = TrickleGraph.build(["a", "b", "c", "d", "e"], INFINITY, [("c", "d")], [("a", "b")])
+    full = validate(g)
+    assert [v.witness for v in full.violations] == [("a", "b")]
+    assert spot_check(g, itertools.combinations(g.vertices, 3)).violations == full.violations
 
 
 def test_spot_check_vacuous():
