@@ -27,15 +27,15 @@ MAX_N = {"raag": 2000, "racg": 2000, "cactus": 25, "kjn": 6, "vjn": 6}
 
 
 def _split_list(text):
-    """Split on top-level commas, leaving bracketed ids like [1,2] intact."""
+    """Split on top-level commas, leaving bracketed ids like [1,2] and (1,2) intact."""
     items, depth, cur = [], 0, []
     for ch in text:
         if ch == "," and depth == 0:
             items.append("".join(cur).strip())
             cur = []
         else:
-            depth += ch == "["
-            depth -= ch == "]"
+            depth += ch in "[("
+            depth -= ch in "])"
             cur.append(ch)
     items.append("".join(cur).strip())
     return [item for item in items if item]
@@ -106,10 +106,9 @@ def nf_cmd(graph_path, word, order_override):
 @click.argument("graph_path")
 @click.argument("word1")
 @click.argument("word2")
-@click.option("--order-override", default=None)
-def eq_cmd(graph_path, word1, word2, order_override):
+def eq_cmd(graph_path, word1, word2):
     """Are two words equal in the group?"""
-    g = _load(graph_path, order_override)
+    g = _load(graph_path)
     same = element_from_text(g, word1) == element_from_text(g, word2)
     click.echo("equal" if same else "not equal")
     sys.exit(0 if same else NEGATIVE)

@@ -32,7 +32,9 @@ Axioms, for vertices x, y, z (x || y means incomparable):
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import reprlib
 from dataclasses import dataclass, field
 from math import inf, lcm
 
@@ -95,6 +97,38 @@ def _cycles(table):
     return out
 
 
+def _kahn(verts, direct, key):
+    """Stable Kahn pass over the order pairs ``direct``: among the minimal
+    vertices left, the one with the least key comes first.  A cycle is
+    named by one of its vertices, the same for the same input."""
+    below = dict.fromkeys(verts, 0)
+    for v in verts:
+        for w in direct[v]:
+            below[w] += 1
+    ready = [(key(v), i, v) for i, v in enumerate(verts) if not below[v]]
+    heapq.heapify(ready)
+    seq = len(verts)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)[2]
+        order.append(v)
+        for w in direct[v]:
+            below[w] -= 1
+            if not below[w]:
+                heapq.heappush(ready, (key(w), seq, w))
+                seq += 1
+    if len(order) < len(verts):
+        # each vertex left sits above another one left: walk down until one repeats
+        done = set(order)
+        lower = {w: v for v in reversed(verts) if v not in done for w in direct[v]}
+        v, seen = next(v for v in verts if v not in done), set()
+        while v not in seen:
+            seen.add(v)
+            v = lower[v]
+        raise GraphError(f"order relation has a cycle through {reprlib.repr(v)}")
+    return order
+
+
 def _not_a_bijection(x, table, star, verts):
     """Why ``table`` is no bijection of ``star``, naming preimages in vertex order."""
     pos = {v: i for i, v in enumerate(verts)}
@@ -125,71 +159,67 @@ class TrickleGraph:
     @classmethod
     def build(cls, vertices, mu, edges, less=(), phi=None, ranking=None,
               name="graph", parse_vertex=None, format_vertex=None):
-        """Finite graph from explicit data.
+        """Finite graph from explicit data; the one place graph data is checked.
 
-        ``mu`` is a mapping or a single value applied to every vertex.
-        ``less`` lists (lo, hi) pairs meaning lo < hi; any acyclic relation
-        is accepted and its transitive closure is taken.  ``phi`` maps a
-        vertex to a dict of star images; omitted entries are the identity.
-        ``ranking`` fixes the total order used for normal forms and must
-        extend the partial order; by default a stable topological sort
-        refined by the lexicographic vertex token is used.
+        ``mu`` is a mapping covering every vertex or a single value applied
+        to every vertex.  ``less`` lists (lo, hi) pairs meaning lo < hi; any
+        acyclic relation is accepted and its transitive closure is taken.
+        ``phi`` maps a vertex to a dict of star images; omitted entries are
+        the identity.  Images must be vertices but may leave the star, so
+        that ``validate`` can diagnose the map.  ``ranking`` fixes the total
+        order used for normal forms and must extend the partial order; by
+        default a stable topological sort refined by the lexicographic
+        vertex token is used.  Bad data raises ``GraphError``.
         """
         self = object.__new__(cls)
         verts = list(vertices)
-        if len(set(verts)) != len(verts):
-            raise GraphError("duplicate vertices")
-        vset = set(verts)
+        vset = set()
+        for v in verts:
+            if v in vset:
+                raise GraphError(f"duplicate vertex {reprlib.repr(v)}")
+            vset.add(v)
 
-        if isinstance(mu, dict):
-            mu_map = {v: mu[v] for v in verts}
-        else:
-            mu_map = {v: mu for v in verts}
+        try:
+            mu_map = {v: mu[v] for v in verts} if isinstance(mu, dict) else dict.fromkeys(verts, mu)
+        except KeyError as e:
+            raise GraphError(f"mu has no label for vertex {reprlib.repr(e.args[0])}") from None
         for v, m in mu_map.items():
             if m != INFINITY and (not isinstance(m, int) or m < 2):
-                raise GraphError(f"mu({v}) = {m!r}: need an integer >= 2 or INFINITY")
+                raise GraphError(f"mu({reprlib.repr(v)}) = {reprlib.repr(m)}: "
+                                 "need an integer >= 2 or INFINITY")
+
+        def known(what, *vs):
+            for v in vs:
+                if v not in vset:
+                    raise GraphError(f"{what} names unknown vertex {reprlib.repr(v)}")
 
         adj = {v: set() for v in verts}
         for a, b in edges:
-            if a not in vset or b not in vset:
-                raise GraphError(f"edge ({a!r}, {b!r}) uses an unknown vertex")
+            known("edge", a, b)
             if a == b:
-                raise GraphError(f"self-loop at {a!r}")
+                raise GraphError(f"self-loop at {reprlib.repr(a)}")
             adj[a].add(b)
             adj[b].add(a)
-
-        # strict order: transitive closure of the input pairs, cycles rejected
-        up = {v: set() for v in verts}      # up[v] = everything strictly above v
-        direct = {v: set() for v in verts}
+        direct = {v: [] for v in verts}     # direct[v]: w for each input pair (v, w)
         for a, b in less:
-            if a not in vset or b not in vset:
-                raise GraphError(f"order pair ({a!r}, {b!r}) uses an unknown vertex")
+            known("order pair", a, b)
             if a == b:
-                raise GraphError(f"reflexive order pair at {a!r}")
-            direct[a].add(b)
-        for v in verts:
-            seen = set()
-            stack = list(direct[v])
-            while stack:
-                w = stack.pop()
-                if w in seen:
-                    continue
-                seen.add(w)
-                stack.extend(direct[w])
-            if v in seen:
-                raise GraphError(f"order relation has a cycle through {v!r}")
-            up[v] = seen
+                raise GraphError(f"reflexive order pair at {reprlib.repr(a)}")
+            direct[a].append(b)
 
         phi = phi or {}
+        for x, given in phi.items():
+            known("phi", x, *given, *given.values())
+            for y in given:
+                if y != x and y not in adj[x]:
+                    raise GraphError(f"phi[{reprlib.repr(x)}] defined at {reprlib.repr(y)}, "
+                                     "not a star vertex")
         phi_tab = {}
         phi_bad = {}
         cycles = {}
         for x in verts:
             star = adj[x] | {x}
             given = phi.get(x, {})
-            for y in given:
-                if y not in star:
-                    raise GraphError(f"phi[{x!r}] defined at {y!r}, which is not in star({x!r})")
             table = {y: given.get(y, y) for y in star}
             phi_tab[x] = table
             if set(table.values()) == star:
@@ -201,7 +231,6 @@ class TrickleGraph:
         self._finite = True
         self._mu = mu_map
         self._adj = {v: frozenset(s) for v, s in adj.items()}
-        self._up = {v: frozenset(s) for v, s in up.items()}
         self._phi = phi_tab
         self._phi_bad = phi_bad
         self._cycles = cycles    # sound maps only
@@ -210,11 +239,25 @@ class TrickleGraph:
         self.format_vertex = format_vertex or _default_format
 
         if ranking is None:
-            ranking = self._topological_ranking(verts)
+            key = self.format_vertex
         else:
             ranking = list(ranking)
-            self._check_ranking(ranking, vset)
-        self.vertices = tuple(ranking)
+            if len(ranking) != len(verts) or set(ranking) != vset:
+                raise GraphError("ranking is not a permutation of the vertices")
+            key = {v: i for i, v in enumerate(ranking)}.__getitem__
+        order = _kahn(verts, direct, key)
+        if ranking is not None and order != ranking:
+            # where they part, the ranking puts r before a vertex p < r
+            r = next(r for r, v in zip(ranking, order) if r != v)
+            p = next(p for p in verts if r in direct[p] and key(p) > key(r))
+            raise GraphError(
+                f"ranking is not a linear extension: {reprlib.repr(p)} < {reprlib.repr(r)} but "
+                f"{self.format_vertex(r)} is ranked below {self.format_vertex(p)}")
+        up = {}     # up[v]: everything strictly above v, taken top down
+        for v in reversed(order):
+            up[v] = frozenset(direct[v]).union(*(up[w] for w in direct[v]))
+        self._up = up
+        self.vertices = tuple(order)
         self._rank = {v: i for i, v in enumerate(self.vertices)}
         self._dual = None
         return self
@@ -243,39 +286,6 @@ class TrickleGraph:
         self.format_vertex = format_vertex or _default_format
         self._dual = None
         return self
-
-    def _check_ranking(self, ranking, vset):
-        if set(ranking) != vset or len(ranking) != len(vset):
-            raise GraphError("ranking is not a permutation of the vertices")
-        pos = {v: i for i, v in enumerate(ranking)}
-        for v in ranking:
-            for w in self._up[v]:
-                if pos[w] < pos[v]:
-                    raise GraphError(
-                        f"ranking is not a linear extension: {v!r} < {w!r} but "
-                        f"{self.format_vertex(w)} is ranked below {self.format_vertex(v)}")
-
-    def _topological_ranking(self, verts):
-        # stable Kahn: among minimal remaining vertices pick the least token
-        below_count = {v: 0 for v in verts}
-        for v in verts:
-            for w in self._up[v]:
-                below_count[w] += 1
-        key = self.format_vertex
-        ready = sorted((v for v in verts if below_count[v] == 0), key=key)
-        out = []
-        while ready:
-            v = ready.pop(0)
-            out.append(v)
-            changed = False
-            for w in self._up[v]:
-                below_count[w] -= 1
-                if below_count[w] == 0:
-                    ready.append(w)
-                    changed = True
-            if changed:
-                ready.sort(key=key)
-        return out
 
     # ------------------------------------------------------------------
     # queries

@@ -179,8 +179,7 @@ BAD_GRAPHS = {
 }
 
 # 2**15000 in decimal, 4,516 digits: past int()'s 4300-digit limit
-with decimal.localcontext(prec=5000):
-    HUGE_DENOMINATOR = str(decimal.Decimal(2) ** 15000)
+HUGE_DENOMINATOR = str(decimal.Context(prec=5000).power(2, 15000))
 
 
 @pytest.mark.parametrize("args", [
@@ -223,6 +222,32 @@ def test_validate_output_ignores_the_hash_seed(tmp_path):
             for seed in range(4)]
     assert runs[0].returncode == 2 and "structural error" in runs[0].stdout
     assert all(r.stdout == runs[0].stdout and r.stderr == runs[0].stderr for r in runs)
+
+
+def test_order_cycle_is_named_by_a_vertex_on_it(tmp_path):
+    # "top" lies above the cycle a < b < c < a and "bottom" below it
+    doc = {"vertices": [{"id": v, "mu": 2} for v in ["top", "a", "b", "c", "bottom"]],
+           "edges": [["bottom", "a"], ["a", "b"], ["b", "c"], ["c", "a"], ["c", "top"]],
+           "less": [["bottom", "a"], ["a", "b"], ["b", "c"], ["c", "a"], ["c", "top"]]}
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(doc))
+    runs = [_python("-m", "trickle.cli", "validate", str(path), PYTHONHASHSEED=str(seed))
+            for seed in range(4)]
+    assert all(r.returncode == 2 and r.stderr == runs[0].stderr for r in runs)
+    named = runs[0].stderr.split("cycle through ")[1].strip()
+    assert named in ("'a'", "'b'", "'c'")
+
+
+def test_kjn_tuple_ids_in_vertex_lists(tmp_path):
+    path = tmp_path / "kj3.json"
+    path.write_text(run("example", "kjn", "--n", "3"))
+    subset = ["--vertices", "(1,2,3),(1,2),(2,3)"]
+    assert run("member", str(path), "(2,3) (1,2)", *subset).strip() == "member"
+    run("member", str(path), "(2,1)", *subset, code=1)
+    ranking = run("nf", str(path), "(1,2)").splitlines()[0].removeprefix("ranking: ")
+    override = ",".join(ranking.split())
+    out = run("nf", str(path), "(2,3) (1,2)", "--order-override", override)
+    assert out.splitlines()[0] == "ranking: " + ranking
 
 
 def test_example_emission_parses_back(tmp_path):

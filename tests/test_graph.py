@@ -49,6 +49,29 @@ def test_less_cycle_rejected():
         TrickleGraph.build(["a", "b"], 2, [("a", "b")], [("a", "b"), ("b", "a")])
 
 
+@pytest.mark.parametrize("phi, mu", [({"w": {}}, 2), ({"x": {"y": "w"}}, 2),
+                                     (None, {"x": 2})],
+                         ids=["phi-key", "phi-image", "mu-missing"])
+def test_build_rejects_data_naming_no_vertex(phi, mu):
+    with pytest.raises(GraphError, match="unknown vertex|no label"):
+        TrickleGraph.build(["x", "y"], mu, [("x", "y")], phi=phi)
+
+
+LONG = "v" * 10_000
+
+
+@pytest.mark.parametrize("vertices, edges, less", [
+    (["x"], [("x", LONG)], []),
+    (["x"], [], [(LONG, "x")]),
+    (["x", LONG], [(LONG, LONG)], []),
+    (["x", LONG], [("x", LONG)], [("x", LONG), (LONG, "x")]),
+], ids=["edge", "order-pair", "self-loop", "cycle"])
+def test_build_messages_echo_a_bounded_excerpt(vertices, edges, less):
+    with pytest.raises(GraphError) as info:
+        TrickleGraph.build(vertices, 2, edges, less)
+    assert len(str(info.value)) <= 300
+
+
 def test_transitive_closure_of_covering_pairs():
     g = TrickleGraph.build(["a", "b", "c"], 2,
                            [("a", "b"), ("b", "c"), ("a", "c")],
