@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Time ``normalize`` on seeded random words and write a BENCH record.
+
+One word per fixture and length, the same on every run for a given
+seed; each is normalized three times in this process and the best
+time is kept.  The record holds the commit, a host line and one row
+per (fixture, letters): the best time in seconds, the number of strata
+in the normal form and a digest of it, so two records of one seed can
+also be checked for equal normal forms.
+
+    python3 scripts/bench.py --out BENCH_<n>.json
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+# time the checkout this script lives in, not an installed copy
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from trickle.families import fixture  # noqa: E402
+from trickle.graph import INFINITY  # noqa: E402
+from trickle.pilings import normalize  # noqa: E402
+
+FIXTURES = ("J5", "CSTAR", "KJ4", "RAAG-C6", "RACG-C6")
+LETTERS = (200, 400, 800, 1600, 3200, 6400, 12800)
+REPEATS = 3
+
+
+def random_word(g, rng, length):
+    """One-syllable strata with exponents +-1, +-2 (or a nonzero residue)."""
+    out = []
+    for _ in range(length):
+        v = rng.choice(g.vertices)
+        m = g.mu(v)
+        a = rng.choice((-2, -1, 1, 2)) if m == INFINITY else rng.randrange(1, m)
+        out.append(((v, a),))
+    return tuple(out)
+
+
+def commit():
+    try:
+        out = subprocess.run(["git", "-C", str(ROOT), "describe", "--always", "--dirty",
+                              "--abbrev=40"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, help="path of the JSON record")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+
+    rows = []
+    for name in FIXTURES:
+        g = fixture(name)
+        for n in LETTERS:
+            word = random_word(g, random.Random(f"{args.seed}:{name}:{n}"), n)
+            best = float("inf")
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                nf = normalize(g, word)
+                best = min(best, time.perf_counter() - t0)
+            digest = hashlib.sha256(repr(nf).encode()).hexdigest()[:16]
+            rows.append({"fixture": name, "letters": n, "best_s": round(best, 6),
+                         "strata_out": len(nf), "nf_digest": digest})
+            print(f"{name:8} {n:>6} {best * 1000:>10.1f} ms", flush=True)
+
+    record = {
+        "commit": commit(),
+        "host": f"{platform.platform()}, {os.cpu_count()} cpus, "
+                f"Python {platform.python_version()}",
+        "seed": args.seed,
+        "repeats": REPEATS,
+        "normalize": rows,
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -136,9 +136,11 @@ def _not_a_bijection(x, table, star, verts):
     for y in sorted(table, key=pos.__getitem__):
         img = table[y]
         if img not in star:
-            return f"phi_{x!r} sends {y!r} to {img!r} outside the star"
+            return (f"phi_{reprlib.repr(x)} sends {reprlib.repr(y)} to "
+                    f"{reprlib.repr(img)} outside the star")
         if img in inv:
-            return f"phi_{x!r} is not injective: {inv[img]!r} and {y!r} both map to {img!r}"
+            return (f"phi_{reprlib.repr(x)} is not injective: {reprlib.repr(inv[img])} "
+                    f"and {reprlib.repr(y)} both map to {reprlib.repr(img)}")
         inv[img] = y
 
 

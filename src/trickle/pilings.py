@@ -12,9 +12,12 @@ extract it (conjugating it past the larger syllables of its stratum with
 the star maps), and add it to the target stratum, merging or cancelling
 exponents when the vertex is already present.  Empty strata are erased.
 The system terminates and is confluent, so every piling has a unique
-irreducible form; ``normalize`` computes it in one deterministic
-left-to-right pass.  Group elements are held in that canonical form,
-which makes equality a tuple comparison and solves the word problem.
+irreducible form, whatever order the moves are made in.  ``normalize``
+uses that freedom: it settles the two halves of a piling on their own
+and joins them with the junction pass of ``product``, which only looks
+as far right as its moves spread.  Group elements are held in that
+canonical form, which makes equality a tuple comparison and solves the
+word problem.
 
 Normal-form words depend on the total vertex ranking the graph carries;
 the ranking is part of the graph, so one graph yields one normal form
@@ -135,44 +138,80 @@ def push_syllable(graph, U: Stratum, V: Stratum, s: Syllable):
 def normalize(graph, piling) -> Piling:
     """The unique irreducible piling reachable from ``piling``.
 
-    One left-to-right pass with a cursor on the pair (i, i+1).  A push
-    there rewrites only strata i and i+1, so the cursor then steps back to
-    re-check the pair (i-1, i); every pair left of the cursor stays
-    irreducible, and once the cursor passes the last pair the piling is
-    irreducible.  Within a pair the mover syllables are tried in
-    descending vertex order; empty strata are dropped eagerly.  Confluence
-    makes the result independent of these choices.
+    The strata are split in halves until a piece has at most ``_LEAF``
+    strata.  A leaf is settled by the pass of ``_settle`` over all its
+    pairs; two settled halves are joined by the pass of ``product``.  Each
+    settled half has no reducible pair, so a join needs to look only at
+    the junction and as far right as its moves spread.  A syllable thus
+    travels down a half, not down the whole word; on J5 and CSTAR this
+    takes the time from quadratic to near linear in the word length
+    (``scripts/bench.py``).  Confluence makes the result independent of
+    the order of the moves.
 
     The move at a pair depends on the pair alone, so a dict living for
-    this one call maps each pair (U, V) met so far to the nonempty strata
-    its first landing push leaves in its place, or to None when the pair
-    is irreducible; a pair met again reuses that entry and makes the same
-    move as a fresh search would.
+    this one call (leaves and joins alike) maps each pair (U, V) met so
+    far to the nonempty strata its first landing push leaves in its
+    place, or to None when the pair is irreducible; a pair met again
+    reuses that entry and makes the same move as a fresh search would.
     """
-    return _settle(graph, [U for U in piling if U], 0, {})
+    return _halves(graph, [U for U in piling if U], {})
+
+
+# Splitting short words costs more than it saves on KJ4, RAAG-C6 and
+# RACG-C6; of 64, 128 and 256, 128 gave the lowest median time per op on
+# the perfbench wordproblem words.
+_LEAF = 128
+
+
+def _halves(graph, strata, memo):
+    """``normalize`` of the list ``strata`` (no empty stratum), by halves."""
+    if len(strata) <= _LEAF:
+        return _settle(graph, strata, 0, len(strata) - 1, memo)
+    mid = len(strata) // 2
+    return _join(graph, _halves(graph, strata[:mid], memo),
+                 _halves(graph, strata[mid:], memo), memo)
 
 
 def product(graph, left: Piling, right: Piling) -> Piling:
     """``normalize(graph, left + right)`` for irreducible ``left`` and ``right``.
 
-    Every pair inside ``left`` is irreducible, so the pass starts at the
-    junction, on the pair (len(left) - 1, len(left)), and makes the same
-    moves from there.  Short products rarely meet a pair twice, so no
-    pair memo is kept.
+    Short products rarely meet a pair twice, so no pair memo is kept.
     """
-    return _settle(graph, list(left + right), max(len(left) - 1, 0), None)
+    return _join(graph, left, right, None)
+
+
+def _join(graph, left, right, memo):
+    """The pass of ``product``: it starts on the junction pair.
+
+    Every pair inside ``left`` and inside ``right`` is irreducible, so
+    the cursor starts on (len(left) - 1, len(left)) with the frontier at
+    len(left), and the pass ends once the changes stop spreading right.
+    """
+    if not (left and right):
+        return left or right
+    return _settle(graph, list(left + right), len(left) - 1, len(left), memo)
 
 
 _UNSEEN = object()
 
 
-def _settle(graph, strata, i, memo):
-    """The pass of ``normalize`` on the list ``strata``, cursor first at i.
+def _settle(graph, strata, i, h, memo):
+    """Reduce the list ``strata`` by pushes at a cursor on the pair (i, i+1).
 
-    Pairs left of i must be irreducible.  ``memo`` is the per-call pair
-    dict of ``normalize``, or None to search every pair afresh.
+    Pairs left of the cursor are irreducible, and so is every pair whose
+    right stratum lies beyond the frontier ``h``.  A push at (i, i+1)
+    rewrites only strata i and i+1, so the cursor steps back to re-check
+    (i-1, i), and the strata right of the pair shift by the change in
+    length, the frontier with them.  A push at the frontier pair itself
+    may make the next pair reducible, so the frontier then moves to the
+    first stratum after the rewritten ones (the last stratum when there
+    is none).  Once the cursor passes the frontier, no pair is
+    reducible.  Within a pair the mover syllables are tried in descending
+    vertex order; empty strata are dropped eagerly.  ``memo`` is the
+    per-call pair dict of ``normalize``, or None to search every pair
+    afresh.
     """
-    while i + 1 < len(strata):
+    while i < h:
         pair = U, V = strata[i], strata[i + 1]
         t = _UNSEEN if memo is None else memo.get(pair, _UNSEEN)
         if t is _UNSEEN:
@@ -189,6 +228,12 @@ def _settle(graph, strata, i, memo):
             i += 1
         else:
             strata[i:i + 2] = t
+            if i + 1 < h:
+                h += len(t) - 2
+            else:
+                h = i + len(t)
+                if h == len(strata):
+                    h -= 1
             i = max(i - 1, 0)
     return tuple(strata)
 

@@ -9,13 +9,16 @@ exchanges, which rewrite an adjacent pair across an edge,
 preserving both the element and the length.  Exchanges are reversible, so
 reduced words of one element form a single exchange orbit: two words are
 equal in the group iff their reductions have the same length and one is
-reachable from the other by exchanges alone.  ``ii_connected`` searches
-that orbit breadth-first.
+reachable from the other by exchanges alone.  ``exchange_connected``
+searches that orbit breadth-first.
 
-Reduction itself is delegated to the piling engine: convert, normalize,
-and read the strata back off in descending vertex order.  The result is
-a shortest syllabic word for the element, so a word is reduced exactly
-when reduction does not shorten it.
+Reduction itself is delegated to the piling engine: ``syllabic_reduce``
+converts, calls ``pilings.normalize``, and reads the strata back off in
+descending vertex order.  The result is a shortest syllabic word for the
+element, so a word is reduced exactly when reduction does not shorten
+it.  Because it goes through ``normalize``, ``syllabic_reduce`` is no
+independent check of the piling engine; ``exchange_connected`` and the
+random strategies of ``confluence`` are.
 """
 
 from __future__ import annotations

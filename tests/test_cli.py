@@ -224,6 +224,23 @@ def test_validate_output_ignores_the_hash_seed(tmp_path):
     assert all(r.stdout == runs[0].stdout and r.stderr == runs[0].stderr for r in runs)
 
 
+def test_star_map_error_bounds_a_long_vertex_id(tmp_path):
+    # phi_x sends the long vertex and z both to z: the move in "z x" asks
+    # phi_x, and the error names the preimages through reprlib
+    long_id = "v" * 2000
+    doc = {"vertices": [{"id": v, "mu": 2} for v in ("x", long_id, "z")],
+           "edges": [["x", long_id], ["x", "z"]],
+           "less": [[long_id, "x"], ["z", "x"]],
+           "phi": {"x": [[long_id, "z"], ["z", "z"]]}}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    result = _python("-m", "trickle.cli", "nf", str(path), "z x")
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert "is not injective" in lines[0] and len(lines[0]) < 200
+
+
 def test_order_cycle_is_named_by_a_vertex_on_it(tmp_path):
     # "top" lies above the cycle a < b < c < a and "bottom" below it
     doc = {"vertices": [{"id": v, "mu": 2} for v in ["top", "a", "b", "c", "bottom"]],

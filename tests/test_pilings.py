@@ -2,16 +2,17 @@ import functools
 import itertools
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trickle.confluence import random_piling
+from trickle.confluence import normalize_random_strategy, random_piling
 from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
 from trickle.graph import GraphError, INFINITY, TrickleGraph
 from trickle.garside import letter_length
-from trickle.pilings import (GroupElement, element_from_text,
+from trickle.pilings import (_LEAF, GroupElement, element_from_text,
                              from_syllables, is_finite,
                              format_word, make_stratum, parse_word, normalize, product,
                              push_syllable, stratum_add, stratum_can_add,
@@ -145,7 +146,7 @@ def test_product_is_normalize_of_concatenation(name):
     rng = random.Random(17)
     base = fixture(name)
     for g in (base, base.dual()):
-        pool = [normalize(g, random_piling(g, rng, max_len=6)) for _ in range(15)]
+        pool = [()] + [normalize(g, random_piling(g, rng, max_len=6)) for _ in range(15)]
         pool += [from_syllables(g, _random_word(g, rng, rng.randrange(30))).piling
                  for _ in range(15)]
         for _ in range(150):
@@ -153,17 +154,62 @@ def test_product_is_normalize_of_concatenation(name):
             assert product(g, a, b) == normalize(g, a + b)
 
 
-@pytest.mark.parametrize("name", ["CSTAR", "J5", "RAAG-C6"])
+# normalize settles halves of at most _LEAF strata, then joins them: these
+# lengths give one leaf, a leaf and a one-stratum half, three levels, and
+# a deep tree
+_HALVES_LENGTHS = (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 1000)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_long_word_is_the_fold_of_its_letters(name):
-    # from_syllables goes through the memoized pass of normalize, the fold
-    # through products started at the junction
-    g = fixture(name)
+    # from_syllables goes through normalize by halves, the fold through
+    # products started at the junction, one letter at a time
     rng = random.Random(29)
-    for _ in range(3):
-        word = _random_word(g, rng, 400)
-        letters = [from_syllables(g, [s]) for s in word]
-        folded = functools.reduce(operator.mul, letters, GroupElement.identity(g))
-        assert from_syllables(g, word) == folded
+    base = fixture(name)
+    for g in (base, base.dual()):
+        for n in _HALVES_LENGTHS:
+            word = _random_word(g, rng, n)
+            letters = [from_syllables(g, [s]) for s in word]
+            folded = functools.reduce(operator.mul, letters, GroupElement.identity(g))
+            assert from_syllables(g, word) == folded
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_halves_agree_with_random_strategies(name):
+    # pilings of leaf + 1 strata, many syllables each, reduced by random moves
+    rng = random.Random(37)
+    base = fixture(name)
+    for g in (base, base.dual()):
+        for _ in range(2):
+            piling = ()
+            while len(piling) <= _LEAF:
+                piling += random_piling(g, rng, max_len=8)
+            piling = piling[:_LEAF + 1]
+            assert normalize(g, piling) == normalize_random_strategy(g, piling, rng)
+
+
+@pytest.mark.parametrize("name", ["CSTAR", "J5", "KJ4", "RAAG-C6"])
+def test_a_half_that_cancels_to_the_identity(name):
+    g = fixture(name)
+    rng = random.Random(41)
+    w = _random_word(g, rng, _LEAF + 3)
+    w_inv = [(v, -a) for v, a in reversed(w)]
+    u = _random_word(g, rng, 2 * len(w))
+    # the first half, then the second half, then the whole word cancels
+    assert from_syllables(g, w + w_inv + u) == from_syllables(g, u)
+    assert from_syllables(g, u + w + w_inv) == from_syllables(g, u)
+    assert from_syllables(g, w + w_inv).is_identity
+
+
+@pytest.mark.parametrize("name", ["CSTAR", "J5"])
+def test_long_words_normalize_in_near_linear_time(name):
+    # on a 2-core x86-64 host one left-to-right pass took 2-8 s, and
+    # normalize by halves takes under 0.1 s
+    g = fixture(name)
+    piling = tuple((s,) for s in _random_word(g, random.Random(43), 12_800))
+    start = time.perf_counter()
+    normalize(g, piling)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_from_word_examples(j3, g3):
