@@ -9,9 +9,11 @@ pairwise atom lcm table.
 
 import argparse
 import itertools
+import sys
 
 from trickle import garside as gar
 from trickle.families import gar3
+from trickle.graph import GraphError
 from trickle.jsonio import load_graph
 from trickle.pilings import from_syllables
 
@@ -21,8 +23,12 @@ def main():
     ap.add_argument("graph", nargs="?", default=None, help="graph JSON file")
     args = ap.parse_args()
 
-    g = load_graph(args.graph) if args.graph else gar3()
-    if not gar.is_garside(g):
+    try:
+        g = load_graph(args.graph) if args.graph else gar3()
+    except GraphError as e:
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(2)
+    if not (gar.is_pregarside(g) and gar.is_garside(g)):
         raise SystemExit("the graph is not finite, complete and torsion-free")
 
     fmt = g.format_vertex

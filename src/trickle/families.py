@@ -127,8 +127,6 @@ def affine_quandle_graph() -> TrickleGraph:
     """Lazy complete graph on the dyadic rationals, totally ordered, with
     phi_x averaging everything below x toward x."""
     return TrickleGraph.lazy(
-        edge=lambda x, y: x != y,
-        less=lambda x, y: x < y,
         mu=INFINITY,
         phi=_quandle_phi,
         phi_inv=_quandle_phi_inv,

@@ -18,6 +18,7 @@ at desk scale, not to be fast.
 from __future__ import annotations
 
 import itertools
+import reprlib
 
 from .graph import INFINITY, GraphError, Violation, ValidationReport
 from .pilings import GroupElement, from_syllables, stratum_extract
@@ -116,7 +117,7 @@ def lcm_atoms(graph, X) -> GroupElement:
     X = list(X)
     for v in X:
         if not graph.contains_vertex(v):
-            raise GraphError(f"unknown vertex {v!r}")
+            raise GraphError(f"unknown vertex {reprlib.repr(v)}")
     _require_finite_complete(graph)
     X = frozenset(X)
     for g in square_free(graph):

@@ -13,8 +13,9 @@ vertex, edge, order and star-map data, which ``tables`` hands back) and
 support full validation and serialization; each sound star map is also
 kept as its cycles, y -> (cycle, index), so phi_x^a(y) is
 cycle[(index + a) % len(cycle)].
-Infinite families are "lazy": they supply query callables instead of
-tables, must provide both phi and phi_inv, and are checked by sampling
+Infinite families are "lazy" chains ordered by the vertices' own ``<``,
+which is also the normal-form ranking; by axiom (a) they are complete.
+They supply phi and phi_inv as callables and are checked by sampling
 (spot_check) rather than exhaustively.
 
 Axioms, for vertices x, y, z (x || y means incomparable):
@@ -265,20 +266,18 @@ class TrickleGraph:
         return self
 
     @classmethod
-    def lazy(cls, *, edge, less, mu, phi, phi_inv, contains, name="lazy graph",
+    def lazy(cls, *, mu, phi, phi_inv, contains, name="lazy graph",
              parse_vertex=None, format_vertex=None):
-        """Infinite graph given by query callables.
+        """Infinite chain on the vertices accepted by ``contains``.
 
-        ``less`` must be a total order usable directly as the normal-form
-        ranking, ``mu`` is the label of every vertex, and both ``phi`` and
-        ``phi_inv`` are required: no generic inversion is attempted on
-        infinite stars.
+        Their own ``<`` is the order and the normal-form ranking, and by
+        axiom (a) any two distinct vertices are adjacent.  ``mu`` labels
+        every vertex; ``phi`` and ``phi_inv`` are both required, as no
+        generic inversion is attempted on infinite stars.
         """
         self = object.__new__(cls)
         self._finite = False
         self.vertices = None
-        self._edge_fn = edge
-        self._less_fn = less
         self._mu_constant = mu
         self._phi_fn = phi
         self._phi_inv_fn = phi_inv
@@ -304,13 +303,13 @@ class TrickleGraph:
     def edge(self, x, y) -> bool:
         if self._finite:
             return y in self._adj[x]
-        return x != y and self._edge_fn(x, y)
+        return x != y
 
     def less(self, x, y) -> bool:
         """Strict order: x < y."""
         if self._finite:
             return y in self._up[x]
-        return x != y and self._less_fn(x, y)
+        return x < y
 
     def leq(self, x, y) -> bool:
         return x == y or self.less(x, y)
@@ -331,12 +330,9 @@ class TrickleGraph:
             try:
                 return self._phi[x][y]
             except KeyError:
-                raise GraphError(f"{y!r} is not in star({x!r})") from None
-        if x == y:
-            return y
-        if not self._edge_fn(x, y):
-            raise GraphError(f"{y!r} is not in star({x!r})")
-        return self._phi_fn(x, y)
+                raise GraphError(f"{reprlib.repr(y)} is not in "
+                                 f"star({reprlib.repr(x)})") from None
+        return y if x == y else self._phi_fn(x, y)
 
     def phi_inv(self, x, y):
         return self.phi_pow(x, -1, y)
@@ -358,7 +354,8 @@ class TrickleGraph:
             try:
                 cycle, i = self._cycles[x][y]
             except KeyError:
-                raise GraphError(self._phi_bad.get(x) or f"{y!r} is not in star({x!r})") from None
+                raise GraphError(self._phi_bad.get(x) or f"{reprlib.repr(y)} is not in "
+                                 f"star({reprlib.repr(x)})") from None
             return cycle[(i + a) % len(cycle)]
         if x == y:
             return y
@@ -366,8 +363,6 @@ class TrickleGraph:
             raise GraphError(f"phi power {a} exceeds the iteration cap on a lazy graph")
         fn = self._phi_fn if a > 0 else self._phi_inv_fn
         for _ in range(abs(a)):
-            if not self._edge_fn(x, y):
-                raise GraphError(f"{y!r} is not in star({x!r})")
             y = fn(x, y)
         return y
 
@@ -424,8 +419,7 @@ class TrickleGraph:
                                    name=name, parse_vertex=self.parse_vertex,
                                    format_vertex=self.format_vertex)
         else:
-            g = TrickleGraph.lazy(edge=self._edge_fn, less=self._less_fn,
-                                  mu=self._mu_constant, phi=self._phi_inv_fn,
+            g = TrickleGraph.lazy(mu=self._mu_constant, phi=self._phi_inv_fn,
                                   phi_inv=self._phi_fn, contains=self._contains,
                                   name=name, parse_vertex=self.parse_vertex,
                                   format_vertex=self.format_vertex)

@@ -15,6 +15,7 @@ by queries, so they are rejected.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 from .graph import GraphError, TrickleGraph
@@ -34,7 +35,7 @@ def is_parabolic(graph, X) -> bool:
     X = frozenset(X)
     for x in X:
         if not graph.contains_vertex(x):
-            raise GraphError(f"unknown vertex {x!r}")
+            raise GraphError(f"unknown vertex {reprlib.repr(x)}")
     return all(_subset_stable(graph, X, x) for x in X)
 
 

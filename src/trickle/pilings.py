@@ -26,6 +26,7 @@ per element.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 from .graph import INFINITY, GraphError, TrickleGraph
@@ -45,10 +46,10 @@ def canonical_exponent(graph, v, a):
 
 def make_syllable(graph, v, a) -> Syllable:
     if not graph.contains_vertex(v):
-        raise GraphError(f"unknown vertex {v!r}")
+        raise GraphError(f"unknown vertex {reprlib.repr(v)}")
     a = canonical_exponent(graph, v, a)
     if a == 0:
-        raise GraphError(f"zero exponent at {v!r}: not a syllable")
+        raise GraphError(f"zero exponent at {reprlib.repr(v)}: not a syllable")
     return (v, a)
 
 
@@ -300,7 +301,7 @@ def from_syllables(graph, pairs) -> GroupElement:
     strata = []
     for v, k in pairs:
         if not graph.contains_vertex(v):
-            raise GraphError(f"unknown vertex {v!r}")
+            raise GraphError(f"unknown vertex {reprlib.repr(v)}")
         c = canonical_exponent(graph, v, k)
         if c != 0:
             strata.append(((v, c),))
@@ -325,14 +326,14 @@ def parse_word(graph, text: str):
             try:
                 k = int(exp)
             except ValueError:
-                raise GraphError(f"bad exponent in token {tok!r}") from None
+                raise GraphError(f"bad exponent in token {reprlib.repr(tok)}") from None
             if k == 0:
-                raise GraphError(f"zero exponent in token {tok!r}")
+                raise GraphError(f"zero exponent in token {reprlib.repr(tok)}")
         else:
             name, k = tok, 1
         v = graph.parse_vertex(name)
         if not graph.contains_vertex(v):
-            raise GraphError(f"unknown vertex {name!r}")
+            raise GraphError(f"unknown vertex {reprlib.repr(name)}")
         out.append((v, k))
     return out
 

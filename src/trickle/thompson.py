@@ -188,8 +188,6 @@ def f_graph() -> TrickleGraph:
     """Complete graph on the dyadics plus a top vertex, totally ordered,
     with the generator homeomorphisms as star maps."""
     return TrickleGraph.lazy(
-        edge=lambda x, y: x != y,
-        less=lambda x, y: x is not TOP and (y is TOP or x < y),
         mu=INFINITY,
         phi=_phi,
         phi_inv=_phi_inv,

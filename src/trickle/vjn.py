@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,16 +111,16 @@ def parse_vjn_word(n: int, text: str):
     for tok in text.split():
         m = _TOKEN.match(tok)
         if not m:
-            raise GraphError(f"bad token {tok!r}; expected x[p,q] or r<i>")
+            raise GraphError(f"bad token {reprlib.repr(tok)}; expected x[p,q] or r<i>")
         if m.group(3) is not None:
             i = int(m.group(3))
             if not 1 <= i <= n - 1:
-                raise GraphError(f"{tok!r} is out of range for n = {n}")
+                raise GraphError(f"{reprlib.repr(tok)} is out of range for n = {n}")
             out.append(("r", i))
         else:
             p, q = int(m.group(1)), int(m.group(2))
             if not 1 <= p < q <= n:
-                raise GraphError(f"{tok!r} is out of range for n = {n}")
+                raise GraphError(f"{reprlib.repr(tok)} is out of range for n = {n}")
             out.append(("x", p, q))
     return out
 

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from trickle.cli import main
+from trickle.confluence import MAX_STRATA
 from trickle.families import cactus, dual_cactus_s3, gar3
 from trickle.graph import TrickleGraph
 from trickle.jsonio import dump_graph
@@ -138,6 +139,21 @@ def test_confluence_rejects_bounds_below_one(paths, graph, bound):
     assert out.startswith("error: max_support and max_exp must be at least 1")
 
 
+def test_confluence_refuses_a_huge_exponent_bound(paths):
+    out = run("confluence", paths["gar3"], "--max-exp", "1000000000", "--samples", "1",
+              code=2)
+    assert len(out.splitlines()) == 1
+    assert out.startswith(f"error: more than {MAX_STRATA} strata")
+
+
+def test_confluence_refuses_a_large_graph(tmp_path):
+    path = tmp_path / "raag2000.json"
+    path.write_text(run("example", "raag", "--n", "2000"))
+    out = run("confluence", str(path), code=2)
+    assert len(out.splitlines()) == 1
+    assert out.startswith(f"error: more than {MAX_STRATA} strata")
+
+
 @pytest.mark.parametrize("option", [["--samples", "-5"], ["--samples=-1"]],
                          ids=["samples-5", "samples-1"])
 def test_confluence_rejects_negative_samples(paths, option):
@@ -166,6 +182,19 @@ def test_sweep_rejects_negative_counts(option):
                      "--max-support", "1", "--max-exp", "1", *option)
     assert result.returncode == 2
     assert result.stderr.startswith("error: pilings must be at least 0")
+
+
+def test_garside_tables_refuses_finite_labels(paths):
+    result = _python(str(ROOT / "scripts" / "garside_tables.py"), paths["j3"])
+    assert result.returncode == 1
+    assert result.stderr == "the graph is not finite, complete and torsion-free\n"
+
+
+def test_garside_tables_reports_an_unreadable_file(tmp_path):
+    result = _python(str(ROOT / "scripts" / "garside_tables.py"), str(tmp_path / "missing.json"))
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read"), result.stderr
 
 
 BAD_GRAPHS = {
@@ -208,6 +237,32 @@ def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert len(lines[0]) <= 300
+
+
+LONG_TOKEN = "a" * 5000
+LONG_NUMBER = "9" * 1000
+
+
+@pytest.mark.parametrize("args", [
+    ["nf", "gar3", LONG_TOKEN],
+    ["nf", "gar3", "x^" + LONG_TOKEN],
+    ["nf", "gar3", LONG_TOKEN + "^0"],
+    ["member", "gar3", "x", "--vertices", LONG_TOKEN],
+    ["lcm", "gar3", "--atoms", LONG_TOKEN],
+    ["divisors", "gar3", LONG_TOKEN],
+    ["tits-reduce", "gar3", LONG_TOKEN],
+    ["vjn", "eq", "--n", "3", LONG_TOKEN, "r1"],
+    ["vjn", "eq", "--n", "3", f"x[1,{LONG_NUMBER}]", "r1"],
+    ["vjn", "eq", "--n", "3", "r" + LONG_NUMBER, "r1"],
+], ids=["nf-unknown-vertex", "nf-bad-exponent", "nf-zero-exponent", "member-vertices",
+        "lcm-atoms", "divisors", "tits-reduce", "vjn-bad-token", "vjn-interval-range",
+        "vjn-transposition-range"])
+def test_error_lines_bound_long_tokens(paths, args):
+    result = _python("-m", "trickle.cli", *(paths.get(a, a) for a in args))
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr[:300]
+    assert len(lines[0]) < 200
 
 
 def test_validate_output_ignores_the_hash_seed(tmp_path):

@@ -263,6 +263,47 @@ def test_spot_check_on_every_triple_agrees_with_validate(g):
     assert sampled.axioms_violated() == full.axioms_violated()
 
 
+# edge and order of each lazy fixture written out per family: the
+# reference the chain queries (x != y, the vertices' own <) must match
+LAZY_REFERENCE = {
+    "F": (lambda x, y: x != y, lambda x, y: x is not TOP and (y is TOP or x < y)),
+    "QUANDLE": (lambda x, y: x != y, lambda x, y: x < y),
+}
+
+
+def _random_lazy_vertex(name, rng):
+    if name == "F" and rng.random() < 0.1:
+        return TOP
+    return Dyadic(rng.randint(-40, 40), rng.randint(0, 5))
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_REFERENCE))
+def test_lazy_queries_match_the_reference_callables(name):
+    graphs = (fixture(name), fixture(name).dual())
+    edge_fn, less_fn = LAZY_REFERENCE[name]
+    rng = random.Random(12)
+    for _ in range(2000):
+        x, y = (_random_lazy_vertex(name, rng) for _ in range(2))
+        if rng.random() < 0.1:
+            y = x
+        less = x != y and less_fn(x, y)
+        more = x != y and less_fn(y, x)
+        for g in graphs:
+            assert g.edge(x, y) == (x != y and edge_fn(x, y))
+            assert g.less(x, y) == less
+            assert g.leq(x, y) == (x == y or less)
+            assert g.incomparable(x, y) == (x != y and not less and not more)
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_REFERENCE))
+def test_spot_check_random_triples(name):
+    g = fixture(name)
+    rng = random.Random(300)
+    triples = [tuple(_random_lazy_vertex(name, rng) for _ in range(3)) for _ in range(300)]
+    report = spot_check(g, triples)
+    assert report.ok and report.checked == 300
+
+
 NOT_INJECTIVE = TrickleGraph.build(["x", "y", "z"], INFINITY, edges=[("x", "y"), ("x", "z")],
                                    phi={"x": {"y": "z", "z": "z"}})
 BREAKS_ADJACENCY = TrickleGraph.build(     # phi_x swaps z and w, but only y-z is an edge

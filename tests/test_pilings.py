@@ -14,7 +14,8 @@ from trickle.graph import GraphError, INFINITY, TrickleGraph
 from trickle.garside import letter_length
 from trickle.pilings import (_LEAF, GroupElement, element_from_text,
                              from_syllables, is_finite,
-                             format_word, make_stratum, parse_word, normalize, product,
+                             format_word, make_stratum, make_syllable, parse_word,
+                             normalize, product,
                              push_syllable, stratum_add, stratum_can_add,
                              stratum_extract, stratum_remove)
 
@@ -390,3 +391,15 @@ def test_letter_length_is_homogeneous_without_inverses():
     for _ in range(100):
         word = [(rng.choice(g.vertices), 1) for _ in range(rng.randrange(9))]
         assert letter_length(from_syllables(g, word)) == len(word)
+
+
+def test_query_errors_bound_a_long_vertex():
+    long_id = "v" * 5000
+    g = TrickleGraph.build(["x", long_id], INFINITY, [])
+    queries = [lambda: g.phi("x", long_id), lambda: g.phi_pow("x", 1, long_id),
+               lambda: make_syllable(gar3(), long_id, 1), lambda: make_syllable(g, long_id, 0),
+               lambda: from_syllables(gar3(), [(long_id, 1)])]
+    for query in queries:
+        with pytest.raises(GraphError) as info:
+            query()
+        assert len(str(info.value)) < 200
