@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time ``normalize`` on seeded random words and write a BENCH record.
+"""Time ``normalize`` and the critical-pair check, and write a BENCH record.
 
 One word per fixture and length, the same on every run for a given
 seed; each is normalized three times in this process and the best
 time is kept.  The record holds the commit, a host line and one row
 per (fixture, letters): the best time in seconds, the number of strata
 in the normal form and a digest of it, so two records of one seed can
-also be checked for equal normal forms.
+also be checked for equal normal forms.  Then ``check_critical_pairs``
+runs once per fixture at support 3 and exponent 2; its rows hold the
+pair count, the verdict and the time of that one run.
 
     python3 scripts/bench.py --out BENCH_<n>.json
 """
@@ -26,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from trickle.confluence import check_critical_pairs  # noqa: E402
 from trickle.families import fixture  # noqa: E402
 from trickle.graph import INFINITY  # noqa: E402
 from trickle.pilings import normalize  # noqa: E402
@@ -33,6 +36,8 @@ from trickle.pilings import normalize  # noqa: E402
 FIXTURES = ("J5", "CSTAR", "KJ4", "RAAG-C6", "RACG-C6")
 LETTERS = (200, 400, 800, 1600, 3200, 6400, 12800)
 REPEATS = 3
+PAIR_FIXTURES = ("J5", "GAR3", "KJ4", "RAAG-C6")
+PAIR_BOUNDS = (3, 2)
 
 
 def random_word(g, rng, length):
@@ -78,6 +83,17 @@ def main():
                          "strata_out": len(nf), "nf_digest": digest})
             print(f"{name:8} {n:>6} {best * 1000:>10.1f} ms", flush=True)
 
+    pairs = []
+    for name in PAIR_FIXTURES:
+        g = fixture(name)
+        t0 = time.perf_counter()
+        report = check_critical_pairs(g, *PAIR_BOUNDS)
+        seconds = time.perf_counter() - t0
+        pairs.append({"fixture": name, "bounds": list(PAIR_BOUNDS),
+                      "pairs_checked": report.pairs_checked, "ok": report.ok,
+                      "seconds": round(seconds, 3)})
+        print(f"{name:8} {report.pairs_checked:>9} pairs {seconds:>8.2f} s", flush=True)
+
     record = {
         "commit": commit(),
         "host": f"{platform.platform()}, {os.cpu_count()} cpus, "
@@ -85,6 +101,7 @@ def main():
         "seed": args.seed,
         "repeats": REPEATS,
         "normalize": rows,
+        "critical_pairs": pairs,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 

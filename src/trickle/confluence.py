@@ -15,11 +15,18 @@ reliably expose corrupted star maps with an explicit witness.
 
 The overlaps are enumerated once, as work units (``_units``) that
 ``enumerate_critical_pairs`` expands into pairs and ``check_critical_pairs``
-evaluates on interned pilings with memoized products.  ``resolve`` and the
-failure witnesses reduce the same two successors, so a False answer always
-comes with two distinct irreducible forms as evidence.  The work units are
-embarrassingly parallel; ``check_critical_pairs`` accepts a shard index so
-callers can split them across processes.
+evaluates on interned pilings with memoized products.  A ``_Reducer``
+interns strata as ints and pilings as tuples of those ints, and keeps
+the move at each pair of stratum ids in a step table for the whole
+check, so a product that was never computed still finds most of its
+moves by one int-pair lookup.  In a C2 unit each distinct left-hand
+product has its row of products with the incoming strata computed
+once and compared with the right-hand row as a whole.  ``resolve`` and
+the failure witnesses reduce the same two successors (the witnesses
+through ``normalize``), so a False answer always comes with two
+distinct irreducible forms as evidence.  The work units are
+embarrassingly parallel; ``check_critical_pairs`` accepts a shard index
+so callers can split them across processes.
 """
 
 from __future__ import annotations
@@ -30,13 +37,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graph import INFINITY, GraphError
-from .pilings import (normalize, product, push_syllable, sort_stratum, stratum_can_add,
+from .pilings import (_join, _step, normalize, push_syllable, sort_stratum, stratum_can_add,
                       stratum_extract, stratum_remove, stratum_add)
 
 
 # Most strata one enumeration may build.  The work grows much faster than
 # the strata: on a 2-core x86-64 host, KJ4 at support 3 and exponent 2 has
-# 361 strata and takes about 20 s and 200 MB to check, and RAAG-C6 at
+# 361 strata and takes about 6 s and 200 MB to check, and RAAG-C6 at
 # (2, 4) has 433 and takes minutes.
 MAX_STRATA = 500
 
@@ -154,13 +161,32 @@ def enumerate_critical_pairs(graph, max_support=3, max_exp=2):
 
 
 class _Reducer:
-    """Irreducible pilings interned as ints, with a memoized pair product."""
+    """Irreducible pilings interned as ints, with a memoized pair product.
+
+    Strata are interned too, and an interned piling is a tuple of
+    stratum ids.  Products run the junction pass of ``pilings.product``
+    on those tuples, and the move at each pair of ids is kept in a step
+    table for the life of the reducer: ``(u, v)`` maps to the ids of the
+    strata the first landing push leaves, or to None.  Keying it on int
+    pairs keeps the hashing cost off every cursor step of every product.
+    """
 
     def __init__(self, graph):
         self.graph = graph
+        self._sids = {}
+        self._strata = []
         self._ids = {(): 0}
         self._pilings = [()]
         self._mult = {}
+        self._steps = {}
+
+    def _sid(self, U):
+        u = self._sids.get(U)
+        if u is None:
+            u = len(self._strata)
+            self._sids[U] = u
+            self._strata.append(U)
+        return u
 
     def intern(self, piling):
         i = self._ids.get(piling)
@@ -171,13 +197,19 @@ class _Reducer:
         return i
 
     def of_stratum(self, U):
-        return self.intern((U,) if U else ())
+        return self.intern((self._sid(U),) if U else ())
+
+    def _step_ids(self, graph, u, v):
+        """``pilings._step`` on the strata behind the ids u and v, interned."""
+        t = _step(graph, self._strata[u], self._strata[v])
+        return None if t is None else tuple([self._sid(W) for W in t])
 
     def mult(self, i, j):
         key = (i, j)
         out = self._mult.get(key)
         if out is None:
-            out = self.intern(product(self.graph, self._pilings[i], self._pilings[j]))
+            out = self.intern(_join(self.graph, self._pilings[i], self._pilings[j],
+                                    self._step_ids, self._steps))
             self._mult[key] = out
         return out
 
@@ -258,8 +290,10 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
     Consumes the work units that ``enumerate_critical_pairs`` expands and
     reaches the verdicts of ``resolve``, but evaluates each unit on interned
     strata: a unit's pushes are computed once, the C2 incoming strata
-    once per middle stratum and the C2 right-hand sides once per (V, U),
-    and only memoized product lookups remain in the hot loop.  A
+    once per middle stratum, the C2 right-hand rows once per (V, U) and
+    the left-hand rows once per distinct left product, and only
+    memoized product lookups remain in the hot loop.  Rows that differ
+    are walked in incoming order, so failures come in pair order.  A
     failure's witness is the irreducible form of each of its two
     successors.  ``shard``/``shards`` deal the work units
     out round-robin, so the shard reports partition the full check.
@@ -302,18 +336,23 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
             _, V, incoming, heads = u
             rhs = [(of(W), of(stratum_add(graph, V, gz)), of(stratum_remove(W, z)), W, z)
                    for W, z, gz in incoming]
-            right = {}
+            right, rows = {}, {}
             for y, gy, U in heads:
                 if not mine():
                     continue
                 a1 = mult(of(stratum_add(graph, U, gy)), of(stratum_remove(V, y)))
+                a = rows.get(a1)
+                if a is None:
+                    a = rows[a1] = [mult(a1, iW) for iW, _, _, _, _ in rhs]
                 iU = of(U)
                 b = right.get(iU)
                 if b is None:
                     b = right[iU] = [mult(mult(iU, iV2), iW2) for _, iV2, iW2, _, _ in rhs]
                 report.pairs_checked += len(rhs)
-                for (iW, _, _, W, z), bW in zip(rhs, b):
-                    if mult(a1, iW) != bW:
+                if a == b:
+                    continue
+                for (_, _, _, W, z), aW, bW in zip(rhs, a, b):
+                    if aW != bW:
                         if record(CriticalPair("C2", (U, V, W), (y, z))):
                             return report
     return report
@@ -337,9 +376,22 @@ def random_piling(graph, rng: random.Random, max_len=4, max_support=3, max_exp=2
                 break
             if all(graph.edge(v, w) for w in support):
                 support.append(v)
-        sylls = [(v, rng.choice(exponent_range(graph, v, max_exp))) for v in support]
+        sylls = [(v, _random_exponent(graph, v, rng, max_exp)) for v in support]
         strata.append(sort_stratum(graph, sylls))
     return tuple(strata)
+
+
+def _random_exponent(graph, v, rng, max_exp):
+    """``rng.choice(exponent_range(graph, v, max_exp))``, without the list.
+
+    ``randrange`` over the range's length draws as ``choice`` does, so
+    seeded pilings are the same as with the list.
+    """
+    m = graph.mu(v)
+    if m != INFINITY:
+        return rng.randrange(1, m)
+    k = rng.randrange(2 * max_exp)
+    return k - max_exp if k < max_exp else k - max_exp + 1
 
 
 def normalize_random_strategy(graph, piling, rng: random.Random):

@@ -151,11 +151,10 @@ def normalize(graph, piling) -> Piling:
 
     The move at a pair depends on the pair alone, so a dict living for
     this one call (leaves and joins alike) maps each pair (U, V) met so
-    far to the nonempty strata its first landing push leaves in its
-    place, or to None when the pair is irreducible; a pair met again
-    reuses that entry and makes the same move as a fresh search would.
+    far to the ``_step`` it takes; a pair met again reuses that entry and
+    makes the same move as a fresh search would.
     """
-    return _halves(graph, [U for U in piling if U], {})
+    return _halves(graph, [U for U in piling if U], _step, {})
 
 
 # Splitting short words costs more than it saves on KJ4, RAAG-C6 and
@@ -164,13 +163,13 @@ def normalize(graph, piling) -> Piling:
 _LEAF = 128
 
 
-def _halves(graph, strata, memo):
+def _halves(graph, strata, step, memo):
     """``normalize`` of the list ``strata`` (no empty stratum), by halves."""
     if len(strata) <= _LEAF:
-        return _settle(graph, strata, 0, len(strata) - 1, memo)
+        return _settle(graph, strata, 0, len(strata) - 1, step, memo)
     mid = len(strata) // 2
-    return _join(graph, _halves(graph, strata[:mid], memo),
-                 _halves(graph, strata[mid:], memo), memo)
+    return _join(graph, _halves(graph, strata[:mid], step, memo),
+                 _halves(graph, strata[mid:], step, memo), step, memo)
 
 
 def product(graph, left: Piling, right: Piling) -> Piling:
@@ -178,10 +177,10 @@ def product(graph, left: Piling, right: Piling) -> Piling:
 
     Short products rarely meet a pair twice, so no pair memo is kept.
     """
-    return _join(graph, left, right, None)
+    return _join(graph, left, right, _step, None)
 
 
-def _join(graph, left, right, memo):
+def _join(graph, left, right, step, memo):
     """The pass of ``product``: it starts on the junction pair.
 
     Every pair inside ``left`` and inside ``right`` is irreducible, so
@@ -190,13 +189,27 @@ def _join(graph, left, right, memo):
     """
     if not (left and right):
         return left or right
-    return _settle(graph, list(left + right), len(left) - 1, len(left), memo)
+    return _settle(graph, list(left + right), len(left) - 1, len(left), step, memo)
+
+
+def _step(graph, U, V):
+    """The move at the pair (U, V): the nonempty strata left in its place.
+
+    The mover syllables of V are tried in descending vertex order and
+    the first that lands in U moves; None when none lands, that is, when
+    the pair is irreducible.
+    """
+    for s in V:
+        t = push_syllable(graph, U, V, s)
+        if t is not None:
+            return t if t[0] and t[1] else tuple([S for S in t if S])
+    return None
 
 
 _UNSEEN = object()
 
 
-def _settle(graph, strata, i, h, memo):
+def _settle(graph, strata, i, h, step, memo):
     """Reduce the list ``strata`` by pushes at a cursor on the pair (i, i+1).
 
     Pairs left of the cursor are irreducible, and so is every pair whose
@@ -207,24 +220,19 @@ def _settle(graph, strata, i, h, memo):
     may make the next pair reducible, so the frontier then moves to the
     first stratum after the rewritten ones (the last stratum when there
     is none).  Once the cursor passes the frontier, no pair is
-    reducible.  Within a pair the mover syllables are tried in descending
-    vertex order; empty strata are dropped eagerly.  ``memo`` is the
-    per-call pair dict of ``normalize``, or None to search every pair
-    afresh.
+    reducible.  The move at a pair is ``step(graph, U, V)``: the pair
+    search ``_step`` on strata, or a caller's own step on strata held by
+    id.  ``memo`` maps pairs already searched to their step, or is None
+    to search every pair afresh.
     """
     while i < h:
-        pair = U, V = strata[i], strata[i + 1]
-        t = _UNSEEN if memo is None else memo.get(pair, _UNSEEN)
-        if t is _UNSEEN:
-            t = None
-            for s in V:
-                t = push_syllable(graph, U, V, s)
-                if t is not None:
-                    if not (t[0] and t[1]):
-                        t = tuple([S for S in t if S])
-                    break
-            if memo is not None:
-                memo[pair] = t
+        U, V = strata[i], strata[i + 1]
+        if memo is None:
+            t = step(graph, U, V)
+        else:
+            t = memo.get((U, V), _UNSEEN)
+            if t is _UNSEEN:
+                t = memo[U, V] = step(graph, U, V)
         if t is None:
             i += 1
         else:

@@ -1,11 +1,13 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from corrupt import broken_d, broken_e, broken_f, broken_g
 from trickle import confluence as conf
-from trickle.families import cactus, dual_cactus_s3, gar3
+from trickle.families import cactus, dual_cactus_s3, fixture, gar3
+from trickle.graph import INFINITY, TrickleGraph
 from trickle.pilings import make_stratum, normalize
 
 A, B, C = "[1,3]", "[1,2]", "[2,3]"
@@ -73,10 +75,47 @@ def test_sharding_partitions_the_check():
     assert sum(p.pairs_checked for p in parts) == full.pairs_checked
 
 
-@pytest.mark.parametrize("make, bounds", [
+CORRUPT_BOUNDS = [
     (broken_d, (2, 1)), (broken_e, (2, 1)), (broken_e, (3, 2)),
     (broken_f, (2, 1)), (broken_f, (3, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("name, pairs", [("J3", 197), ("CSTAR", 1847), ("J4", 15923),
+                                         ("KJ3", 1596)])
+def test_pair_counts(name, pairs):
+    g = fixture(name)
+    assert sum(1 for _ in conf.enumerate_critical_pairs(g, 3, 2)) == pairs
+    report = conf.check_critical_pairs(g, 3, 2)
+    assert report.ok and report.pairs_checked == pairs
+
+
+def reference_failures(g, bounds):
+    """Failures with witnesses, from ``normalize`` of each pair's two successors."""
+    out = []
+    for pair in conf.enumerate_critical_pairs(g, *bounds):
+        successors = conf._successors(g, pair)
+        if successors is not None:
+            left, right = (normalize(g, p) for p in successors)
+            if left != right:
+                out.append((pair, left, right))
+    return out
+
+
+@pytest.mark.parametrize("make, bounds", CORRUPT_BOUNDS)
+def test_check_matches_normalize_of_the_successors(make, bounds):
+    g = make()
+    expected = reference_failures(g, bounds)
+    assert expected
+    for limit in (1, 3, len(expected) + 1):
+        report = conf.check_critical_pairs(g, *bounds, fail_limit=limit)
+        assert report.failures == expected[:limit]
+    parts = [conf.check_critical_pairs(g, *bounds, fail_limit=len(expected) + 1,
+                                       shard=i, shards=3) for i in range(3)]
+    assert Counter(f for part in parts for f in part.failures) == Counter(expected)
+
+
+@pytest.mark.parametrize("make, bounds", CORRUPT_BOUNDS)
 def test_fused_check_fails_exactly_the_unresolved_pairs(make, bounds):
     g = make()
     unresolved = [p for p in conf.enumerate_critical_pairs(g, *bounds) if not conf.resolve(g, p)]
@@ -119,6 +158,24 @@ def test_random_piling_is_well_formed():
             assert all(g.edge(x, y) for i, x in enumerate(support)
                        for y in support[i + 1:])
             assert all(a != 0 for _, a in U)
+
+
+@pytest.mark.parametrize("mu", [INFINITY, 2, 3, 5])
+@pytest.mark.parametrize("max_exp", [1, 2, 7])
+def test_random_exponent_draws_as_choice_over_the_range(mu, max_exp):
+    g = TrickleGraph.build(["x"], mu, [])
+    rng, reference = random.Random(mu * max_exp), random.Random(mu * max_exp)
+    for _ in range(2000):
+        assert (conf._random_exponent(g, "x", rng, max_exp)
+                == reference.choice(conf.exponent_range(g, "x", max_exp)))
+
+
+def test_huge_exponent_bound_draws_without_a_list():
+    t0 = time.perf_counter()
+    report = conf.check_strategy_independence(gar3(), random.Random(0), pilings=1,
+                                              strategies=1, max_exp=10**9)
+    assert time.perf_counter() - t0 < 1
+    assert report.samples_checked == 1 and report.ok
 
 
 def test_normalize_is_idempotent():
