@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time ``normalize`` and the critical-pair check, and write a BENCH record.
+"""Time ``normalize`` and the two verifier checks, and write a BENCH record.
 
 One word per fixture and length, the same on every run for a given
 seed; each is normalized three times in this process and the best
@@ -8,7 +8,10 @@ per (fixture, letters): the best time in seconds, the number of strata
 in the normal form and a digest of it, so two records of one seed can
 also be checked for equal normal forms.  Then ``check_critical_pairs``
 runs once per fixture at support 3 and exponent 2; its rows hold the
-pair count, the verdict and the time of that one run.
+pair count, the verdict and the time of that one run.  Last,
+``check_strategy_independence`` runs once per fixture on 1000 random
+pilings under 20 strategies each, seeded with ``Random(100)``; its rows
+hold the sample count, the verdict and the time.
 
     python3 scripts/bench.py --out BENCH_<n>.json
 """
@@ -28,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from trickle.confluence import check_critical_pairs  # noqa: E402
+from trickle.confluence import check_critical_pairs, check_strategy_independence  # noqa: E402
 from trickle.families import fixture  # noqa: E402
 from trickle.graph import INFINITY  # noqa: E402
 from trickle.pilings import normalize  # noqa: E402
@@ -38,6 +41,7 @@ LETTERS = (200, 400, 800, 1600, 3200, 6400, 12800)
 REPEATS = 3
 PAIR_FIXTURES = ("J5", "GAR3", "KJ4", "RAAG-C6")
 PAIR_BOUNDS = (3, 2)
+SAMPLES, STRATEGIES, SAMPLE_SEED = 1000, 20, 100
 
 
 def random_word(g, rng, length):
@@ -94,6 +98,17 @@ def main():
                       "seconds": round(seconds, 3)})
         print(f"{name:8} {report.pairs_checked:>9} pairs {seconds:>8.2f} s", flush=True)
 
+    samples = []
+    for name in PAIR_FIXTURES:
+        g = fixture(name)
+        t0 = time.perf_counter()
+        report = check_strategy_independence(g, random.Random(SAMPLE_SEED), SAMPLES, STRATEGIES)
+        seconds = time.perf_counter() - t0
+        samples.append({"fixture": name, "pilings": SAMPLES, "strategies": STRATEGIES,
+                        "seed": SAMPLE_SEED, "samples_checked": report.samples_checked,
+                        "ok": report.ok, "seconds": round(seconds, 3)})
+        print(f"{name:8} {report.samples_checked:>9} samples {seconds:>6.2f} s", flush=True)
+
     record = {
         "commit": commit(),
         "host": f"{platform.platform()}, {os.cpu_count()} cpus, "
@@ -102,6 +117,7 @@ def main():
         "repeats": REPEATS,
         "normalize": rows,
         "critical_pairs": pairs,
+        "strategy_independence": samples,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 

@@ -2,7 +2,8 @@
 """Sweep the confluence verifier across the stock fixtures.
 
 Prints one row per graph: overlap count, unresolved count, random-piling
-divergences, wall time.  Slower and wider than the acceptance run when
+divergences, and the wall time of each phase, the critical pairs and the
+strategy independence.  Slower and wider than the acceptance run when
 asked (bounds and sample counts are flags).
 """
 
@@ -27,14 +28,15 @@ def main():
     args = ap.parse_args()
 
     names = args.names or sorted(FIXTURES)
-    print(f"{'fixture':10} {'pairs':>10} {'unresolved':>10} {'samples':>8} "
-          f"{'divergent':>9} {'seconds':>8}")
+    print(f"{'fixture':10} {'pairs':>10} {'unresolved':>10} {'pairs_s':>8} {'samples':>8} "
+          f"{'divergent':>9} {'samples_s':>9}")
     bad = 0
     for name in names:
         try:
             g = fixture(name)
             t0 = time.perf_counter()
             pairs = conf.check_critical_pairs(g, args.max_support, args.max_exp)
+            t1 = time.perf_counter()
             sampled = conf.check_strategy_independence(
                 g, random.Random(args.seed), pilings=args.samples,
                 strategies=args.strategies, max_support=args.max_support,
@@ -42,10 +44,10 @@ def main():
         except GraphError as e:
             print(f"error: {e}", file=sys.stderr)
             raise SystemExit(2)
-        dt = time.perf_counter() - t0
-        print(f"{name:10} {pairs.pairs_checked:>10} {len(pairs.failures):>10} "
+        t2 = time.perf_counter()
+        print(f"{name:10} {pairs.pairs_checked:>10} {len(pairs.failures):>10} {t1 - t0:>8.2f} "
               f"{sampled.samples_checked:>8} {len(sampled.sample_failures):>9} "
-              f"{dt:>8.1f}")
+              f"{t2 - t1:>9.2f}")
         if not (pairs.ok and sampled.ok):
             bad += 1
             print(pairs.describe())

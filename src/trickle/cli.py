@@ -25,6 +25,11 @@ USAGE = 2
 # factorially (kjn, vjn) in n.
 MAX_N = {"raag": 2000, "racg": 2000, "cactus": 25, "kjn": 6, "vjn": 6}
 
+# Largest `confluence --samples`: each sample is reduced under 20 random
+# strategies, and 10,000 samples take about 4 s on GAR3 at the default
+# bounds on a 2-core x86-64 host.
+MAX_SAMPLES = 10_000
+
 
 def _split_list(text):
     """Split on top-level commas, leaving bracketed ids like [1,2] and (1,2) intact."""
@@ -194,6 +199,8 @@ def lcm_cmd(graph_path, atoms):
 @click.option("--seed", default=0, show_default=True)
 def confluence_cmd(graph_path, max_support, max_exp, samples, seed):
     """Certify local confluence within bounds; nonzero exit on failure."""
+    if samples > MAX_SAMPLES:
+        _fail(f"--samples {samples} is above the bound {MAX_SAMPLES}")
     g = _load(graph_path)
     report = conf.check_critical_pairs(g, max_support, max_exp)
     sampled = conf.check_strategy_independence(

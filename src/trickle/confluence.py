@@ -19,9 +19,14 @@ evaluates on interned pilings with memoized products.  A ``_Reducer``
 interns strata as ints and pilings as tuples of those ints, and keeps
 the move at each pair of stratum ids in a step table for the whole
 check, so a product that was never computed still finds most of its
-moves by one int-pair lookup.  In a C2 unit each distinct left-hand
-product has its row of products with the incoming strata computed
-once and compared with the right-hand row as a whole.  ``resolve`` and
+moves by one int-pair lookup.  Its products are memoized by row, one
+dict per left factor, so a row of products is read in one pass.  In a
+C2 unit each distinct left-hand product has its row of products with
+the incoming strata read once, and each right-hand row forms its inner
+products once per distinct middle stratum V + gz before reading the
+outer products from their rows; the rows are compared as a whole.
+The strategy-independence check keeps one move table per call, so the
+random strategies search each pair of strata once.  ``resolve`` and
 the failure witnesses reduce the same two successors (the witnesses
 through ``normalize``), so a False answer always comes with two
 distinct irreducible forms as evidence.  The work units are
@@ -169,6 +174,9 @@ class _Reducer:
     table for the life of the reducer: ``(u, v)`` maps to the ids of the
     strata the first landing push leaves, or to None.  Keying it on int
     pairs keeps the hashing cost off every cursor step of every product.
+    The products are memoized by row: ``_rows[i]`` maps j to the id of
+    i * j, so ``mult_row`` reads many products of one left factor with
+    one dict lookup each and no call per product.
     """
 
     def __init__(self, graph):
@@ -177,7 +185,7 @@ class _Reducer:
         self._strata = []
         self._ids = {(): 0}
         self._pilings = [()]
-        self._mult = {}
+        self._rows = [{}]
         self._steps = {}
 
     def _sid(self, U):
@@ -194,6 +202,7 @@ class _Reducer:
             i = len(self._pilings)
             self._ids[piling] = i
             self._pilings.append(piling)
+            self._rows.append({})
         return i
 
     def of_stratum(self, U):
@@ -205,12 +214,20 @@ class _Reducer:
         return None if t is None else tuple([self._sid(W) for W in t])
 
     def mult(self, i, j):
-        key = (i, j)
-        out = self._mult.get(key)
+        row = self._rows[i]
+        out = row.get(j)
         if out is None:
-            out = self.intern(_join(self.graph, self._pilings[i], self._pilings[j],
-                                    self._step_ids, self._steps))
-            self._mult[key] = out
+            out = row[j] = self.intern(_join(self.graph, self._pilings[i], self._pilings[j],
+                                             self._step_ids, self._steps))
+        return out
+
+    def mult_row(self, i, js):
+        """``[self.mult(i, j) for j in js]``, reading the known products of
+        row i in one pass and computing only the others through ``mult``."""
+        out = list(map(self._rows[i].get, js))
+        if None in out:
+            mult = self.mult
+            out = [mult(i, j) if k is None else k for j, k in zip(js, out)]
         return out
 
     def reduce(self, piling):
@@ -292,15 +309,20 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
     strata: a unit's pushes are computed once, the C2 incoming strata
     once per middle stratum, the C2 right-hand rows once per (V, U) and
     the left-hand rows once per distinct left product, and only
-    memoized product lookups remain in the hot loop.  Rows that differ
-    are walked in incoming order, so failures come in pair order.  A
-    failure's witness is the irreducible form of each of its two
-    successors.  ``shard``/``shards`` deal the work units
-    out round-robin, so the shard reports partition the full check.
+    memoized product rows remain in the hot loop.  A right-hand row
+    (U * V2) * W2 keeps its left association (the two associations
+    agree only where the system is confluent, which is what is being
+    checked): U * V2 is formed once per distinct V2 of the unit, and
+    the incoming pairs are grouped by V2 so that each group is one row
+    read.  Rows that differ are walked in incoming order, so failures
+    come in pair order.  A failure's witness is the irreducible form of
+    each of its two successors.  ``shard``/``shards`` deal the work
+    units out round-robin, so the shard reports partition the full
+    check.
     """
     report = ConfluenceReport()
     r = _Reducer(graph)
-    mult, of = r.mult, r.of_stratum
+    mult, mult_row, of = r.mult, r.mult_row, r.of_stratum
     unit = itertools.count()
 
     def mine():
@@ -334,8 +356,15 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
                     return report
         else:
             _, V, incoming, heads = u
-            rhs = [(of(W), of(stratum_add(graph, V, gz)), of(stratum_remove(W, z)), W, z)
-                   for W, z, gz in incoming]
+            # the incoming pairs grouped by V2 = V + gz, in first-seen order
+            groups = {}
+            for n, (W, z, gz) in enumerate(incoming):
+                groups.setdefault(of(stratum_add(graph, V, gz)), []).append(
+                    (n, of(W), of(stratum_remove(W, z))))
+            order = [n for group in groups.values() for n, _, _ in group]
+            iWs = [iW for group in groups.values() for _, iW, _ in group]
+            v2s = list(groups)
+            w2s = [[iW2 for _, _, iW2 in group] for group in groups.values()]
             right, rows = {}, {}
             for y, gy, U in heads:
                 if not mine():
@@ -343,18 +372,19 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
                 a1 = mult(of(stratum_add(graph, U, gy)), of(stratum_remove(V, y)))
                 a = rows.get(a1)
                 if a is None:
-                    a = rows[a1] = [mult(a1, iW) for iW, _, _, _, _ in rhs]
+                    a = rows[a1] = mult_row(a1, iWs)
                 iU = of(U)
                 b = right.get(iU)
                 if b is None:
-                    b = right[iU] = [mult(mult(iU, iV2), iW2) for _, iV2, iW2, _, _ in rhs]
-                report.pairs_checked += len(rhs)
+                    b = right[iU] = []
+                    for iUV2, row in zip(mult_row(iU, v2s), w2s):
+                        b += mult_row(iUV2, row)
+                report.pairs_checked += len(iWs)
                 if a == b:
                     continue
-                for (_, _, _, W, z), aW, bW in zip(rhs, a, b):
-                    if aW != bW:
-                        if record(CriticalPair("C2", (U, V, W), (y, z))):
-                            return report
+                for n in sorted(n for n, aW, bW in zip(order, a, b) if aW != bW):
+                    if record(CriticalPair("C2", (U, V, incoming[n][0]), (y, incoming[n][1]))):
+                        return report
     return report
 
 
@@ -396,39 +426,53 @@ def _random_exponent(graph, v, rng, max_exp):
 
 def normalize_random_strategy(graph, piling, rng: random.Random):
     """Reduce by uniformly random applicable moves until irreducible."""
+    return _random_strategy(graph, piling, rng, {})
+
+
+def _random_strategy(graph, piling, rng, pushes):
+    """``normalize_random_strategy`` with a move table ``pushes`` that maps
+    a pair (U, V) to the landing pushes out of V, in syllable order.
+
+    Each step lists its moves as a fresh search would, erasures first and
+    then the pairs left to right, so ``rng`` draws the same values.
+    """
     strata = list(piling)
     while True:
-        moves = []
-        for i, U in enumerate(strata):
-            if not U:
-                moves.append((i, None))
+        moves = [(i, None) for i, U in enumerate(strata) if not U]
         for i in range(len(strata) - 1):
-            U, V = strata[i], strata[i + 1]
-            for s in V:
-                t = push_syllable(graph, U, V, s)
-                if t is not None:
-                    moves.append((i, t))
+            key = strata[i], strata[i + 1]
+            ts = pushes.get(key)
+            if ts is None:
+                U, V = key
+                ts = pushes[key] = [t for t in (push_syllable(graph, U, V, s) for s in V)
+                                    if t is not None]
+            moves += [(i, t) for t in ts]
         if not moves:
             return tuple(strata)
         i, t = moves[rng.randrange(len(moves))]
         if t is None:
             del strata[i]
         else:
-            strata[i:i + 2] = [t[0], t[1]]
+            strata[i:i + 2] = t
 
 
 def check_strategy_independence(graph, rng=None, pilings=1000, strategies=20,
                                 max_support=3, max_exp=2) -> ConfluenceReport:
-    """Many random pilings, each reduced under many random strategies."""
+    """Many random pilings, each reduced under many random strategies.
+
+    One move table serves every strategy of every piling in the call, so a
+    pair met again costs one lookup and not a push per syllable.
+    """
     if pilings < 0 or strategies < 1:
         raise GraphError(f"pilings must be at least 0 and strategies at least 1, "
                          f"got {pilings} and {strategies}")
     rng = rng or random.Random(0)
     report = ConfluenceReport()
+    pushes = {}
     for _ in range(pilings):
         piling = random_piling(graph, rng, max_support=max_support, max_exp=max_exp)
         report.samples_checked += 1
-        forms = {normalize_random_strategy(graph, piling, rng) for _ in range(strategies)}
+        forms = {_random_strategy(graph, piling, rng, pushes) for _ in range(strategies)}
         forms.add(normalize(graph, piling))
         if len(forms) != 1:
             report.sample_failures.append((piling, sorted(forms)))

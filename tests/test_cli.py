@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from trickle.cli import main
+from trickle.cli import MAX_SAMPLES, main
 from trickle.confluence import MAX_STRATA
 from trickle.families import cactus, dual_cactus_s3, gar3
 from trickle.graph import TrickleGraph
@@ -152,6 +153,15 @@ def test_confluence_refuses_a_large_graph(tmp_path):
     out = run("confluence", str(path), code=2)
     assert len(out.splitlines()) == 1
     assert out.startswith(f"error: more than {MAX_STRATA} strata")
+
+
+@pytest.mark.parametrize("samples", [str(MAX_SAMPLES + 1), "100000000000000000000"])
+def test_confluence_refuses_too_many_samples(paths, samples):
+    t0 = time.perf_counter()
+    out = run("confluence", paths["gar3"], "--samples", samples, "--max-support", "1",
+              "--max-exp", "1", code=2)
+    assert time.perf_counter() - t0 < 5
+    assert out == f"error: --samples {samples} is above the bound {MAX_SAMPLES}\n"
 
 
 @pytest.mark.parametrize("option", [["--samples", "-5"], ["--samples=-1"]],

@@ -4,11 +4,11 @@ from collections import Counter
 
 import pytest
 
-from corrupt import broken_d, broken_e, broken_f, broken_g
+from corrupt import broken_a, broken_b, broken_c, broken_d, broken_e, broken_f, broken_g
 from trickle import confluence as conf
-from trickle.families import cactus, dual_cactus_s3, fixture, gar3
+from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
 from trickle.graph import INFINITY, TrickleGraph
-from trickle.pilings import make_stratum, normalize
+from trickle.pilings import make_stratum, normalize, push_syllable
 
 A, B, C = "[1,3]", "[1,2]", "[2,3]"
 
@@ -113,6 +113,13 @@ def test_check_matches_normalize_of_the_successors(make, bounds):
     parts = [conf.check_critical_pairs(g, *bounds, fail_limit=len(expected) + 1,
                                        shard=i, shards=3) for i in range(3)]
     assert Counter(f for part in parts for f in part.failures) == Counter(expected)
+    for i, part in enumerate(parts):
+        # each shard finds its failures in pair order, and stops at its limit
+        found = set(part.failures)
+        assert part.failures == [f for f in expected if f in found]
+        for limit in (1, 3):
+            report = conf.check_critical_pairs(g, *bounds, fail_limit=limit, shard=i, shards=3)
+            assert report.failures == part.failures[:limit]
 
 
 @pytest.mark.parametrize("make, bounds", CORRUPT_BOUNDS)
@@ -126,6 +133,29 @@ def test_fused_check_fails_exactly_the_unresolved_pairs(make, bounds):
     parts = [conf.check_critical_pairs(g, *bounds, fail_limit=limit, shard=i, shards=3)
              for i in range(3)]
     assert Counter(f for part in parts for f in part.failures) == Counter(report.failures)
+
+
+def as_strata(reducer, ids):
+    """The pilings behind interned piling ids, as tuples of strata."""
+    return [tuple(reducer._strata[u] for u in reducer._pilings[k]) for k in ids]
+
+
+def test_mult_row_reads_as_mult():
+    g = fixture("J4")
+    cold, warm = conf._Reducer(g), conf._Reducer(g)
+    ids = [warm.of_stratum(U) for U in conf.enumerate_strata(g, 2, 1)]
+    assert [cold.of_stratum(U) for U in conf.enumerate_strata(g, 2, 1)] == ids
+    for i in ids[:4]:
+        for j in ids[::2]:
+            warm.mult(i, j)
+    js = ids + [0, ids[3], 0, ids[1]]
+    for i in [0] + ids:
+        expected = [warm.mult(i, j) for j in js]
+        assert warm.mult_row(i, js) == expected
+        row = cold.mult_row(i, js)
+        assert as_strata(cold, row) == as_strata(warm, expected)
+        assert cold.mult_row(i, js) == row == [cold.mult(i, j) for j in js]
+    assert warm.mult_row(ids[2], []) == []
 
 
 def test_corrupted_graph_fails_with_witness():
@@ -194,6 +224,56 @@ def test_random_strategies_agree_with_normalize():
             expected = normalize(g, piling)
             for _ in range(5):
                 assert conf.normalize_random_strategy(g, piling, rng) == expected
+
+
+def reference_random_strategy(graph, piling, rng):
+    """``normalize_random_strategy`` searching every pair afresh at each step."""
+    strata = list(piling)
+    while True:
+        moves = []
+        for i, U in enumerate(strata):
+            if not U:
+                moves.append((i, None))
+        for i in range(len(strata) - 1):
+            U, V = strata[i], strata[i + 1]
+            for s in V:
+                t = push_syllable(graph, U, V, s)
+                if t is not None:
+                    moves.append((i, t))
+        if not moves:
+            return tuple(strata)
+        i, t = moves[rng.randrange(len(moves))]
+        if t is None:
+            del strata[i]
+        else:
+            strata[i:i + 2] = [t[0], t[1]]
+
+
+def reference_strategy_independence(graph, rng, pilings, strategies):
+    report = conf.ConfluenceReport()
+    for _ in range(pilings):
+        piling = conf.random_piling(graph, rng)
+        report.samples_checked += 1
+        forms = {reference_random_strategy(graph, piling, rng) for _ in range(strategies)}
+        forms.add(normalize(graph, piling))
+        if len(forms) != 1:
+            report.sample_failures.append((piling, sorted(forms)))
+    return report
+
+
+SI_GRAPHS = dict(FIXTURES, **{m.__name__: m for m in (broken_a, broken_b, broken_c, broken_d,
+                                                       broken_e, broken_f, broken_g)})
+
+
+@pytest.mark.parametrize("name", SI_GRAPHS)
+def test_shared_move_table_matches_fresh_searches(name):
+    g = SI_GRAPHS[name]()
+    rng, reference = random.Random(5), random.Random(5)
+    report = conf.check_strategy_independence(g, rng, pilings=40, strategies=8)
+    expected = reference_strategy_independence(g, reference, pilings=40, strategies=8)
+    assert report.samples_checked == expected.samples_checked == 40
+    assert report.sample_failures == expected.sample_failures
+    assert rng.random() == reference.random()
 
 
 def test_strategy_independence_report():
