@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time ``normalize`` and the two verifier checks, and write a BENCH record.
+"""Time ``normalize``, the two verifier checks, ``from_syllables`` and the kernel compile.
 
 One word per fixture and length, the same on every run for a given
 seed; each is normalized three times in this process and the best
@@ -8,10 +8,15 @@ per (fixture, letters): the best time in seconds, the number of strata
 in the normal form and a digest of it, so two records of one seed can
 also be checked for equal normal forms.  Then ``check_critical_pairs``
 runs once per fixture at support 3 and exponent 2; its rows hold the
-pair count, the verdict and the time of that one run.  Last,
+pair count, the verdict and the time of that one run.  Then
 ``check_strategy_independence`` runs once per fixture on 1000 random
 pilings under 20 strategies each, seeded with ``Random(100)``; its rows
-hold the sample count, the verdict and the time.
+hold the sample count, the verdict and the time.  Next,
+``from_syllables`` runs on batches of ten words at the lengths of the
+perfbench ``wordproblem`` workload; each row holds the best time of the
+batch and a digest of its normal forms.  Last, the integer kernel of
+``kjn_graph(n)`` is compiled for n = 4..6; each row holds the best time
+and the number of table entries.
 
     python3 scripts/bench.py --out BENCH_<n>.json
 """
@@ -33,8 +38,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from trickle.confluence import check_critical_pairs, check_strategy_independence  # noqa: E402
 from trickle.families import fixture  # noqa: E402
-from trickle.graph import INFINITY  # noqa: E402
-from trickle.pilings import normalize  # noqa: E402
+from trickle.graph import INFINITY, Kernel  # noqa: E402
+from trickle.pilings import from_syllables, normalize  # noqa: E402
+from trickle.vjn import kjn_graph  # noqa: E402
 
 FIXTURES = ("J5", "CSTAR", "KJ4", "RAAG-C6", "RACG-C6")
 LETTERS = (200, 400, 800, 1600, 3200, 6400, 12800)
@@ -42,6 +48,9 @@ REPEATS = 3
 PAIR_FIXTURES = ("J5", "GAR3", "KJ4", "RAAG-C6")
 PAIR_BOUNDS = (3, 2)
 SAMPLES, STRATEGIES, SAMPLE_SEED = 1000, 20, 100
+WORD_LETTERS = (50, 100, 200, 400, 800)
+WORDS = 10
+KERNEL_SIZES = (4, 5, 6)
 
 
 def random_word(g, rng, length):
@@ -53,6 +62,19 @@ def random_word(g, rng, length):
         a = rng.choice((-2, -1, 1, 2)) if m == INFINITY else rng.randrange(1, m)
         out.append(((v, a),))
     return tuple(out)
+
+
+def best_time(fn):
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 def commit():
@@ -77,14 +99,9 @@ def main():
         g = fixture(name)
         for n in LETTERS:
             word = random_word(g, random.Random(f"{args.seed}:{name}:{n}"), n)
-            best = float("inf")
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                nf = normalize(g, word)
-                best = min(best, time.perf_counter() - t0)
-            digest = hashlib.sha256(repr(nf).encode()).hexdigest()[:16]
+            best, nf = best_time(lambda: normalize(g, word))
             rows.append({"fixture": name, "letters": n, "best_s": round(best, 6),
-                         "strata_out": len(nf), "nf_digest": digest})
+                         "strata_out": len(nf), "nf_digest": digest(nf)})
             print(f"{name:8} {n:>6} {best * 1000:>10.1f} ms", flush=True)
 
     pairs = []
@@ -109,6 +126,26 @@ def main():
                         "ok": report.ok, "seconds": round(seconds, 3)})
         print(f"{name:8} {report.samples_checked:>9} samples {seconds:>6.2f} s", flush=True)
 
+    words = []
+    for name in FIXTURES:
+        g = fixture(name)
+        for n in WORD_LETTERS:
+            rng = random.Random(f"{args.seed}:words:{name}:{n}")
+            batch = [[s for (s,) in random_word(g, rng, n)] for _ in range(WORDS)]
+            best, nfs = best_time(lambda: [from_syllables(g, w).piling for w in batch])
+            words.append({"fixture": name, "letters": n, "words": WORDS,
+                          "best_s": round(best, 6), "nf_digest": digest(nfs)})
+            print(f"{name:8} {n:>6} {best * 1000:>10.2f} ms from_syllables x{WORDS}", flush=True)
+
+    kernels = []
+    for n in KERNEL_SIZES:
+        g = kjn_graph(n)
+        best, k = best_time(lambda: Kernel(g))
+        entries = len(k.adj) + len(k.mu) + sum(len(table) for table in k.pw)
+        kernels.append({"graph": f"kjn_graph({n})", "vertices": len(g.vertices),
+                        "entries": entries, "best_s": round(best, 6)})
+        print(f"kjn({n}) {len(g.vertices):>6} vertices {best * 1000:>8.2f} ms compile", flush=True)
+
     record = {
         "commit": commit(),
         "host": f"{platform.platform()}, {os.cpu_count()} cpus, "
@@ -118,6 +155,8 @@ def main():
         "normalize": rows,
         "critical_pairs": pairs,
         "strategy_independence": samples,
+        "from_syllables": words,
+        "kernel_compile": kernels,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 

@@ -4,7 +4,8 @@
 Prints one row per graph: overlap count, unresolved count, random-piling
 divergences, and the wall time of each phase, the critical pairs and the
 strategy independence.  Slower and wider than the acceptance run when
-asked (bounds and sample counts are flags).
+asked (bounds and sample counts are flags); ``--samples`` has the bound
+of ``trickle confluence --samples``.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import sys
 import time
 
 from trickle import confluence as conf
+from trickle.cli import MAX_SAMPLES
 from trickle.families import FIXTURES, fixture
 from trickle.graph import GraphError
 
@@ -26,6 +28,10 @@ def main():
     ap.add_argument("--strategies", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.samples > MAX_SAMPLES:
+        print(f"error: --samples {args.samples} is above the bound {MAX_SAMPLES}",
+              file=sys.stderr)
+        raise SystemExit(2)
 
     names = args.names or sorted(FIXTURES)
     print(f"{'fixture':10} {'pairs':>10} {'unresolved':>10} {'pairs_s':>8} {'samples':>8} "

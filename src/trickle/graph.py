@@ -16,7 +16,8 @@ cycle[(index + a) % len(cycle)].
 Infinite families are "lazy" chains ordered by the vertices' own ``<``,
 which is also the normal-form ranking; by axiom (a) they are complete.
 They supply phi and phi_inv as callables and are checked by sampling
-(spot_check) rather than exhaustively.
+(spot_check) rather than exhaustively.  The rewriting engine runs a
+finite graph on its ``Kernel``, the same tables held by integer id.
 
 Axioms, for vertices x, y, z (x || y means incomparable):
 
@@ -145,6 +146,41 @@ def _not_a_bijection(x, table, star, verts):
         inv[img] = y
 
 
+class Kernel:
+    """A finite graph compiled to integer ids, built once per graph.
+
+    A vertex's id is its position in ``graph.vertices``, the ranking order,
+    so strata sorted by descending id are sorted by descending rank.
+    ``adj[i]`` is the bitmask of the neighbours of i and ``mu[i]`` its label,
+    0 for INFINITY.  ``pw[i]`` is None when phi_i is not a bijection of the
+    star; otherwise it maps each star vertex that phi_i moves to its cycle
+    (a tuple of ids) and its index in it, so phi_i^a(j) is
+    cycle[(index + a) % len(cycle)], and every other star vertex is fixed.
+    The tables grow with the stars, not with n squared.  ``graph`` keeps the
+    name oracle for translating back and for errors.
+    """
+
+    __slots__ = ("graph", "index", "adj", "mu", "pw")
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.index = index = graph._rank
+        self.adj = [sum(1 << index[y] for y in graph._adj[x]) for x in graph.vertices]
+        self.mu = [0 if graph._mu[x] == INFINITY else graph._mu[x] for x in graph.vertices]
+        self.pw = []
+        for x in graph.vertices:
+            cycles = graph._cycles.get(x)     # None when phi_x is unsound
+            if cycles is not None:
+                moved, last = {}, None
+                for y, (cycle, i) in cycles.items():    # a cycle's vertices come in a row
+                    if len(cycle) > 1:
+                        if cycle is not last:
+                            last, ids = cycle, tuple(map(index.__getitem__, cycle))
+                        moved[index[y]] = (ids, i)
+                cycles = moved
+            self.pw.append(cycles)
+
+
 class TrickleGraph:
     """Query oracle for a vertex-ordered graph with star maps.
 
@@ -263,6 +299,7 @@ class TrickleGraph:
         self.vertices = tuple(order)
         self._rank = {v: i for i, v in enumerate(self.vertices)}
         self._dual = None
+        self._kernel = None
         return self
 
     @classmethod
@@ -286,6 +323,7 @@ class TrickleGraph:
         self.parse_vertex = parse_vertex or _default_parse
         self.format_vertex = format_vertex or _default_format
         self._dual = None
+        self._kernel = None
         return self
 
     # ------------------------------------------------------------------
@@ -294,6 +332,12 @@ class TrickleGraph:
     @property
     def finite(self):
         return self._finite
+
+    def kernel(self):
+        """The ``Kernel`` of a finite graph, compiled at first use; None if lazy."""
+        if self._kernel is None and self._finite:
+            self._kernel = Kernel(self)
+        return self._kernel
 
     def contains_vertex(self, v) -> bool:
         if self._finite:

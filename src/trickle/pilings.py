@@ -22,6 +22,13 @@ word problem.
 Normal-form words depend on the total vertex ranking the graph carries;
 the ranking is part of the graph, so one graph yields one normal form
 per element.
+
+``normalize`` and ``from_syllables`` run a finite graph on its integer
+``Kernel`` (``graph.py``): vertices become their ranks once on the way
+in and names again once on the way out, and in between ``_kernel_step``
+moves syllables with bitmask and cycle-table lookups.  Lazy graphs,
+``product`` and the verifier step on vertex names through the graph
+oracle; every route makes the same move at every pair.
 """
 
 from __future__ import annotations
@@ -149,12 +156,37 @@ def normalize(graph, piling) -> Piling:
     (``scripts/bench.py``).  Confluence makes the result independent of
     the order of the moves.
 
-    The move at a pair depends on the pair alone, so a dict living for
-    this one call (leaves and joins alike) maps each pair (U, V) met so
-    far to the ``_step`` it takes; a pair met again reuses that entry and
-    makes the same move as a fresh search would.
+    On a finite graph the strata are translated once to the ids of its
+    ``Kernel``, reduced by ``_kernel_step`` and translated back; a lazy
+    graph is reduced by ``_step`` on its vertices.  Both steps make the
+    same move at every pair, so the result is the same.  The move at a
+    pair depends on the pair alone, so a dict living for this one call
+    (leaves and joins alike) maps each pair (U, V) met so far to the step
+    it takes; a pair met again reuses that entry and makes the same move
+    as a fresh search would.
     """
-    return _halves(graph, [U for U in piling if U], _step, {})
+    kernel = graph.kernel()
+    if kernel is None:
+        return _halves(graph, [U for U in piling if U], _step, {})
+    try:
+        strata = _relabel(piling, kernel.index)
+    except KeyError as e:
+        raise GraphError(f"unknown vertex {reprlib.repr(e.args[0])}") from None
+    return tuple(_relabel(_halves(kernel, strata, _kernel_step, {}), kernel.graph.vertices))
+
+
+def _relabel(strata, label):
+    """The nonempty strata with each vertex v read as ``label[v]``: names to
+    kernel ids or back.  Equal strata are relabeled once, into one tuple."""
+    seen, out = {}, []
+    for U in strata:
+        S = seen.get(U)
+        if S is None:
+            if not U:
+                continue
+            S = seen[U] = tuple([(label[v], a) for v, a in U])
+        out.append(S)
+    return out
 
 
 # Splitting short words costs more than it saves on KJ4, RAAG-C6 and
@@ -206,6 +238,69 @@ def _step(graph, U, V):
     return None
 
 
+def _kernel_step(kernel, U, V):
+    """``_step`` on strata held by the ids of a finite graph's ``kernel``.
+
+    The mover syllables of V are tried in the same order and each is
+    conjugated past the ones before it through the cycle tables.  It
+    lands when the support mask of U holds its vertex or lies within the
+    vertex's neighbours; then every other syllable of U is pulled back
+    through phi, a matching one merges or cancels, and the stratum is
+    sorted by descending id, which is descending rank.  So the move at
+    every pair is the move of ``_step``.  Where ``_step`` would raise (an
+    unsound star map, a vertex outside a star: only broken graphs get
+    there), the pair goes to ``_step`` on the names, which raises the
+    same error.
+    """
+    adj, pw, mu = kernel.adj, kernel.pw, kernel.mu
+    supp = 0
+    for x, _ in U:
+        supp |= 1 << x
+    for i, (y, b) in enumerate(V):
+        for j in range(i - 1, -1, -1):
+            x, a = V[j]
+            p = pw[x]
+            if p is None:
+                return _named_step(kernel, U, V)
+            c = p.get(y)
+            if c is not None:
+                y = c[0][(c[1] + a) % len(c[0])]
+            elif y != x and not adj[x] >> y & 1:
+                return _named_step(kernel, U, V)
+        bit = 1 << y
+        merged = supp & bit
+        if not merged and supp & ~adj[y]:
+            continue
+        p = pw[y]
+        if p is None and supp != bit or merged and supp & ~adj[y] != bit:
+            return _named_step(kernel, U, V)
+        out = []
+        for x, a in U:
+            if x == y:
+                c = a + b
+                if mu[y]:
+                    c %= mu[y]
+                if c:
+                    out.append((y, c))
+            else:
+                c = p.get(x)
+                out.append((c[0][(c[1] - b) % len(c[0])] if c else x, a))
+        if not merged:
+            out.append((y, b))
+        out.sort(reverse=True)
+        W = V[:i] + V[i + 1:]
+        if out:
+            return (tuple(out), W) if W else (tuple(out),)
+        return (W,) if W else ()
+    return None
+
+
+def _named_step(kernel, U, V):
+    """``_step`` on the vertex names behind the id strata U and V, back in ids."""
+    t = _step(kernel.graph, *_relabel((U, V), kernel.graph.vertices))
+    return t and tuple(_relabel(t, kernel.index))
+
+
 _UNSEEN = object()
 
 
@@ -220,10 +315,11 @@ def _settle(graph, strata, i, h, step, memo):
     may make the next pair reducible, so the frontier then moves to the
     first stratum after the rewritten ones (the last stratum when there
     is none).  Once the cursor passes the frontier, no pair is
-    reducible.  The move at a pair is ``step(graph, U, V)``: the pair
-    search ``_step`` on strata, or a caller's own step on strata held by
-    id.  ``memo`` maps pairs already searched to their step, or is None
-    to search every pair afresh.
+    reducible.  The move at a pair is ``step(graph, U, V)``: ``_step`` on
+    strata of vertices, ``_kernel_step`` on strata of a kernel's ids (then
+    ``graph`` is the kernel), or a caller's own step on interned strata.
+    ``memo`` maps pairs already searched to their step, or is None to
+    search every pair afresh.
     """
     while i < h:
         U, V = strata[i], strata[i + 1]
@@ -243,7 +339,8 @@ def _settle(graph, strata, i, h, step, memo):
                 h = i + len(t)
                 if h == len(strata):
                     h -= 1
-            i = max(i - 1, 0)
+            if i:
+                i -= 1
     return tuple(strata)
 
 
@@ -305,15 +402,32 @@ class GroupElement:
 
 
 def from_syllables(graph, pairs) -> GroupElement:
-    """Element of the product of the given (vertex, exponent) powers."""
+    """Element of the product of the given (vertex, exponent) powers.
+
+    On a finite graph each vertex is checked and translated to its kernel
+    id and each exponent reduced in the same pass, and the one-syllable
+    strata are normalized on the kernel.
+    """
+    kernel = graph.kernel()
     strata = []
+    if kernel is None:
+        for v, k in pairs:
+            if not graph.contains_vertex(v):
+                raise GraphError(f"unknown vertex {reprlib.repr(v)}")
+            c = canonical_exponent(graph, v, k)
+            if c != 0:
+                strata.append(((v, c),))
+        return GroupElement(graph, normalize(graph, tuple(strata)))
+    index, mu = kernel.index, kernel.mu
     for v, k in pairs:
-        if not graph.contains_vertex(v):
+        x = index.get(v)
+        if x is None:
             raise GraphError(f"unknown vertex {reprlib.repr(v)}")
-        c = canonical_exponent(graph, v, k)
-        if c != 0:
-            strata.append(((v, c),))
-    return GroupElement(graph, normalize(graph, tuple(strata)))
+        c = k % mu[x] if mu[x] else k
+        if c:
+            strata.append(((x, c),))
+    strata = _halves(kernel, strata, _kernel_step, {})
+    return GroupElement(graph, tuple(_relabel(strata, kernel.graph.vertices)))
 
 
 def nf_letters(graph, piling):

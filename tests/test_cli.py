@@ -194,6 +194,16 @@ def test_sweep_rejects_negative_counts(option):
     assert result.stderr.startswith("error: pilings must be at least 0")
 
 
+@pytest.mark.parametrize("samples", [str(MAX_SAMPLES + 1), "100000000000000000000"])
+def test_sweep_refuses_too_many_samples(samples):
+    t0 = time.perf_counter()
+    result = _python(str(ROOT / "scripts" / "confluence_sweep.py"), "J3", "--samples", samples,
+                     "--max-support", "1", "--max-exp", "1")
+    assert time.perf_counter() - t0 < 5
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: --samples {samples} is above the bound {MAX_SAMPLES}\n"
+
+
 def test_garside_tables_refuses_finite_labels(paths):
     result = _python(str(ROOT / "scripts" / "garside_tables.py"), paths["j3"])
     assert result.returncode == 1
