@@ -262,7 +262,7 @@ def vjn_eq_cmd(n, word1, word2):
 
 @main.group("f")
 def f_group():
-    """Words over the dyadic homeomorphism group (tokens inf, k/2^e)."""
+    """Words over the dyadic homeomorphism group (tokens inf, k, k/2**e)."""
 
 
 @f_group.command("nf")

@@ -3,6 +3,19 @@
 from __future__ import annotations
 
 import reprlib
+import sys
+from functools import lru_cache
+
+# Largest e accepted in a parsed n/2**e: one such number holds 1.25 MB.
+MAX_PARSED_EXP = 10 ** 7
+# The interpreter's bound on int-to-str digits (0 = none; older 3.10 has none).
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+@lru_cache(maxsize=None)
+def _least_exp_past(digits: int) -> int:
+    """Least e for which 2**e has more than ``digits`` decimal digits."""
+    return (10 ** digits).bit_length()
 
 
 class Dyadic:
@@ -30,17 +43,29 @@ class Dyadic:
     def parse(cls, text: str) -> "Dyadic":
         text = text.strip()
         p, slash, q = text.partition("/")
+        power = q.startswith("2**")
         try:
-            num, den = int(p), int(q) if slash else 1
+            num, den = int(p), int(q[3:] if power else q) if slash else 1
         except ValueError:
-            raise ValueError(
-                f"{reprlib.repr(text)} is not a dyadic rational like 3 or 3/8") from None
+            raise ValueError(f"{reprlib.repr(text)} is not a dyadic rational "
+                             "like 3, 3/8 or 3/2**3") from None
+        if power:
+            if not 0 <= den <= MAX_PARSED_EXP:
+                raise ValueError(f"{reprlib.repr(text)}: the exponent of 2 must lie "
+                                 f"in [0, {MAX_PARSED_EXP}]")
+            return cls(num, den)
         if den <= 0 or den & (den - 1):
             raise ValueError(f"{reprlib.repr(text)}: denominator must be a positive power of two")
         return cls(num, den.bit_length() - 1)
 
     def __str__(self):
-        return str(self.num) if self.exp == 0 else f"{self.num}/{1 << self.exp}"
+        """n, n/d, or n/2**e where d would pass the interpreter's digit limit."""
+        if self.exp == 0:
+            return str(self.num)
+        limit = _max_str_digits()
+        if limit and self.exp >= _least_exp_past(limit):
+            return f"{self.num}/2**{self.exp}"
+        return f"{self.num}/{1 << self.exp}"
 
     def __repr__(self):
         return f"Dyadic({self})"

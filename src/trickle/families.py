@@ -115,12 +115,9 @@ def gar3() -> TrickleGraph:
 # ordered quandle on the dyadics
 
 
-def _quandle_phi(x: Dyadic, y: Dyadic) -> Dyadic:
-    return Dyadic.mid(y, x) if y <= x else y
-
-
-def _quandle_phi_inv(x: Dyadic, y: Dyadic) -> Dyadic:
-    return y.double() - x if y <= x else y
+def _quandle_phi_pow(x: Dyadic, a: int, y: Dyadic) -> Dyadic:
+    """phi_x^a(y) = x - (x - y) / 2**a: a averagings of y toward x."""
+    return x - (x - y).scaled(-a) if y <= x else y
 
 
 def affine_quandle_graph() -> TrickleGraph:
@@ -128,8 +125,7 @@ def affine_quandle_graph() -> TrickleGraph:
     phi_x averaging everything below x toward x."""
     return TrickleGraph.lazy(
         mu=INFINITY,
-        phi=_quandle_phi,
-        phi_inv=_quandle_phi_inv,
+        phi_pow=_quandle_phi_pow,
         contains=lambda v: isinstance(v, Dyadic),
         parse_vertex=Dyadic.parse,
         format_vertex=str,

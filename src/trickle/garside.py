@@ -44,7 +44,7 @@ def is_positive(g: GroupElement) -> bool:
 
 def _as_positive(g):
     if not is_positive(g):
-        raise GraphError(f"{g!r} is not positive")
+        raise GraphError(f"{reprlib.repr(g)} is not positive")
     return g
 
 

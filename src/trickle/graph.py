@@ -15,8 +15,10 @@ kept as its cycles, y -> (cycle, index), so phi_x^a(y) is
 cycle[(index + a) % len(cycle)].
 Infinite families are "lazy" chains ordered by the vertices' own ``<``,
 which is also the normal-form ranking; by axiom (a) they are complete.
-They supply phi and phi_inv as callables and are checked by sampling
-(spot_check) rather than exhaustively.  The rewriting engine runs a
+They supply one callable, phi_pow(x, a, y), giving phi_x^a in closed form
+for every a, and are checked by sampling (spot_check) rather than
+exhaustively.  LAZY_POWER_CAP bounds |a|, so it bounds the size of an
+image, not a number of steps.  The rewriting engine runs a
 finite graph on its ``Kernel``, the same tables held by integer id.
 
 Axioms, for vertices x, y, z (x || y means incomparable):
@@ -43,6 +45,8 @@ from math import inf, lcm
 INFINITY = inf
 LAZY_POWER_CAP = 10 ** 6
 MAX_WITNESSES = 20      # listed per axiom in one report
+# (a, b) sampled by spot_check for phi_x^a . phi_x^b = phi_x^(a+b) on lazy graphs
+POWER_LAW_PAIRS = ((1, 1), (1, -2), (-2, -1), (2, 3))
 
 
 class GraphError(ValueError):
@@ -303,21 +307,22 @@ class TrickleGraph:
         return self
 
     @classmethod
-    def lazy(cls, *, mu, phi, phi_inv, contains, name="lazy graph",
+    def lazy(cls, *, mu, phi_pow, contains, name="lazy graph",
              parse_vertex=None, format_vertex=None):
         """Infinite chain on the vertices accepted by ``contains``.
 
         Their own ``<`` is the order and the normal-form ranking, and by
         axiom (a) any two distinct vertices are adjacent.  ``mu`` labels
-        every vertex; ``phi`` and ``phi_inv`` are both required, as no
-        generic inversion is attempted on infinite stars.
+        every vertex.  ``phi_pow(x, a, y)`` is phi_x^a(y) for any nonzero
+        integer a, in closed form: it is the one star-map callable, so
+        phi and phi_inv are its cases a = 1 and a = -1.  The queries keep
+        |a| within LAZY_POWER_CAP, as the image's size may grow with |a|.
         """
         self = object.__new__(cls)
         self._finite = False
         self.vertices = None
         self._mu_constant = mu
-        self._phi_fn = phi
-        self._phi_inv_fn = phi_inv
+        self._phi_pow_fn = phi_pow
         self._contains = contains
         self.name = name
         self.parse_vertex = parse_vertex or _default_parse
@@ -376,7 +381,7 @@ class TrickleGraph:
             except KeyError:
                 raise GraphError(f"{reprlib.repr(y)} is not in "
                                  f"star({reprlib.repr(x)})") from None
-        return y if x == y else self._phi_fn(x, y)
+        return y if x == y else self._phi_pow_fn(x, 1, y)
 
     def phi_inv(self, x, y):
         return self.phi_pow(x, -1, y)
@@ -391,7 +396,7 @@ class TrickleGraph:
         return lcm(*{len(cycle) for cycle, _ in self._cycles[x].values()})
 
     def phi_pow(self, x, a, y):
-        """Apply phi_x a times to y (negative a uses phi_inv)."""
+        """phi_x^a(y), for any integer a."""
         if a == 0:
             return y
         if self._finite:
@@ -404,11 +409,8 @@ class TrickleGraph:
         if x == y:
             return y
         if abs(a) > LAZY_POWER_CAP:
-            raise GraphError(f"phi power {a} exceeds the iteration cap on a lazy graph")
-        fn = self._phi_fn if a > 0 else self._phi_inv_fn
-        for _ in range(abs(a)):
-            y = fn(x, y)
-        return y
+            raise GraphError(f"phi power {a} exceeds the cap {LAZY_POWER_CAP} on a lazy graph")
+        return self._phi_pow_fn(x, a, y)
 
     def sort_key(self, v):
         """Key whose descending order is the normal-form order on vertices."""
@@ -463,8 +465,9 @@ class TrickleGraph:
                                    name=name, parse_vertex=self.parse_vertex,
                                    format_vertex=self.format_vertex)
         else:
-            g = TrickleGraph.lazy(mu=self._mu_constant, phi=self._phi_inv_fn,
-                                  phi_inv=self._phi_fn, contains=self._contains,
+            fn = self._phi_pow_fn
+            g = TrickleGraph.lazy(mu=self._mu_constant, phi_pow=lambda x, a, y: fn(x, -a, y),
+                                  contains=self._contains,
                                   name=name, parse_vertex=self.parse_vertex,
                                   format_vertex=self.format_vertex)
         g._dual = self
@@ -508,8 +511,11 @@ def spot_check(graph: TrickleGraph, samples) -> ValidationReport:
     Each sample is a triple of vertices, checked as ``validate`` checks a
     graph but with every star cut down to the triple.  Axiom (e) is
     checked on finite graphs only: it needs the order of phi_x, which
-    finitely many queries do not reveal on an infinite star.  A witness
-    found on several triples is listed once.
+    finitely many queries do not reveal on an infinite star.  On a lazy
+    graph, whose phi_pow is a closed form of its own, each star vertex y
+    is also checked against the power law phi_x^a(phi_x^b(y)) =
+    phi_x^(a+b)(y) for (a, b) in POWER_LAW_PAIRS.  A witness found on
+    several triples is listed once.
     """
     report = ValidationReport(checked=0)
     seen = {}
@@ -545,6 +551,13 @@ def _check(graph, pool, report, seen):
             continue
         for y in faults:
             hit("structure", (x, y), "phi_inv does not undo phi")
+        for y in () if graph.finite else star[x]:
+            for a, b in POWER_LAW_PAIRS:
+                if graph.phi_pow(x, a, graph.phi_pow(x, b, y)) != graph.phi_pow(x, a + b, y):
+                    hit("structure", (x, y), f"phi_{x!r}^{a} . phi_{x!r}^{b} is not "
+                                             f"phi_{x!r}^{a + b} at {y!r}")
+                    faults.append(y)
+                    break
         for y, z in itertools.combinations(star[x], 2):
             if graph.edge(y, z) != graph.edge(graph.phi(x, y), graph.phi(x, z)):
                 hit("structure", (x, y, z),

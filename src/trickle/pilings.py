@@ -498,10 +498,10 @@ def is_finite(graph) -> FinitenessAnswer:
     if not graph.complete():
         missing = next((x, y) for x in graph.vertices for y in graph.vertices
                        if x != y and not graph.edge(x, y))
-        return FinitenessAnswer(False, None, f"missing edge {missing!r}")
+        return FinitenessAnswer(False, None, f"missing edge {reprlib.repr(missing)}")
     infinite = [v for v in graph.vertices if graph.mu(v) == INFINITY]
     if infinite:
-        return FinitenessAnswer(False, None, f"mu({infinite[0]!r}) is infinite")
+        return FinitenessAnswer(False, None, f"mu({reprlib.repr(infinite[0])}) is infinite")
     order = 1
     for v in graph.vertices:
         order *= graph.mu(v)

@@ -21,6 +21,13 @@ t -> t - 1.  Conjugation inside the group matches evaluation, which is
 what makes the complete totally ordered graph with phi_x = h_x a valid
 star-map structure.
 
+The rung index j names the rung [v_j, v_{j+1}].  With m the number of 1
+digits of v_0 after the point, v_j is x - u / 2**j for j >= 0, v_0 cut
+after its (m + j)-th 1 digit for -m <= j <= 0, and floor(v_0) + j + m
+below that.  The k-th power of the generator sends rung j affinely onto
+rung j - k, so ``h_pow`` evaluates any power in closed form; ``h_apply``
+and ``h_apply_inv`` take one step and stay as the independent reference.
+
 All arithmetic is exact dyadic; there is no floating point here.
 """
 
@@ -168,20 +175,50 @@ def evaluate_letters(letters, t: Dyadic) -> Dyadic:
     return t
 
 
+def _rung(x: Dyadic, j: int) -> Dyadic:
+    """The rung point v_j of the ladder below x."""
+    u = _digit(x)
+    if j >= 0:
+        return x - u.scaled(-j)
+    v0 = x - u
+    m = _ones(v0)
+    if j < -m:
+        return Dyadic(v0.floor() + j + m)
+    n = v0.num
+    for _ in range(-j):
+        n &= n - 1      # one rung down drops the last 1 digit
+    return Dyadic(n, v0.exp)
+
+
+def _rung_index(x: Dyadic, a: Dyadic) -> int:
+    """j with v_j = a, for a rung point a of the ladder below x: above
+    v_0, x - a = u / 2**j; on the prefix rungs, a has m + j 1 digits;
+    below floor(v_0), a = floor(v_0) + j + m."""
+    v0 = x - _digit(x)
+    if a >= v0:
+        return (x - a).exp - x.exp
+    if a.is_integer:
+        return a.floor() - v0.floor() - _ones(v0)
+    return _ones(a) - _ones(v0)
+
+
+def h_pow(x, k: int, y):
+    """The generator of x to the power k at y, in closed form: the rung
+    of y goes affinely onto the rung k below it.  Its size grows with |k|,
+    as the rungs near x have denominators 2**j."""
+    if y is TOP:
+        return TOP
+    if x is TOP:
+        return y - k
+    if y >= x:
+        return y
+    a, b = _segment(x, y)
+    j = _rung_index(x, a) - k
+    return _affine(y, a, b, _rung(x, j), _rung(x, j + 1))
+
+
 # ----------------------------------------------------------------------
 # the lazy graph
-
-
-def _phi(x, y):
-    if y is TOP:
-        return TOP
-    return h_apply(x, y)
-
-
-def _phi_inv(x, y):
-    if y is TOP:
-        return TOP
-    return h_apply_inv(x, y)
 
 
 def f_graph() -> TrickleGraph:
@@ -189,8 +226,7 @@ def f_graph() -> TrickleGraph:
     with the generator homeomorphisms as star maps."""
     return TrickleGraph.lazy(
         mu=INFINITY,
-        phi=_phi,
-        phi_inv=_phi_inv,
+        phi_pow=h_pow,
         contains=is_vertex,
         parse_vertex=parse_vertex,
         format_vertex=format_vertex,

@@ -63,7 +63,7 @@ def _parse_tuple(token: str) -> tuple:
     try:
         return tuple(int(part) for part in body.split(","))
     except ValueError:
-        raise GraphError(f"bad tuple token {token!r}") from None
+        raise GraphError(f"bad tuple token {reprlib.repr(token)}") from None
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,16 @@ def paths(tmp_path_factory):
               "edges": [], "less": [["y", "x"]], "phi": {}}
     out["broken"] = base / "broken.json"
     out["broken"].write_text(json.dumps(broken))
+    # a 3,000-character vertex id: alone (complete, mu infinite) and beside
+    # a vertex it has no edge to
+    for name, others in (("long-complete", []), ("long-missing", ["b"])):
+        doc = {"vertices": [{"id": v, "mu": "inf"} for v in [LONG_ID, *others]], "edges": []}
+        out[name] = base / f"{name}.json"
+        out[name].write_text(json.dumps(doc))
     return {k: str(v) for k, v in out.items()}
+
+
+LONG_ID = "v" * 3000
 
 
 def run(*args, code=0):
@@ -243,9 +252,13 @@ HUGE_DENOMINATOR = str(decimal.Context(prec=5000).power(2, 15000))
     ["vjn", "eq", "--n", "7", "r1", "r1"],
     ["example", "cactus", "--n", "200"],
     ["example", "raag", "--n", "10000"],
+    ["f", "nf", "--", "-1/2 0^2000000"],
+    ["f", "nf", "--", "-1/2**20000 inf^-1"],
+    ["divisors", "long-complete", LONG_ID + "^-1"],
 ], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "f-nf-huge-denominator",
         "eq-unknown-token", "example-raag-n-0", "example-racg-cycle-n-negative",
-        "example-kjn-n-7", "vjn-eq-n-7", "example-cactus-n-200", "example-raag-n-10000"])
+        "example-kjn-n-7", "vjn-eq-n-7", "example-cactus-n-200", "example-raag-n-10000",
+        "f-nf-power-past-the-cap", "f-nf-huge-numerator", "divisors-not-positive-long-id"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     files = dict(paths)
     for name in BAD_GRAPHS.keys() & set(args):
@@ -257,6 +270,24 @@ def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert len(lines[0]) <= 300
+
+
+@pytest.mark.parametrize("graph", ["long-complete", "long-missing"])
+def test_order_bounds_a_long_vertex_id(paths, graph):
+    # an infinite group is an answer, not an error: one short line, exit 0
+    result = _python("-m", "trickle.cli", "order", paths[graph])
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("infinite ("), result.stdout[:300]
+    assert len(lines[0]) <= 300
+
+
+def test_f_nf_far_power_prints_2_to_the_e_and_parses_back():
+    word = "-1/2 0^1000000"
+    result = _python("-m", "trickle.cli", "f", "nf", "--", word)
+    assert (result.returncode, result.stdout) == (0, "0^1000000 -1/2**1000001\n"), result.stderr
+    result = _python("-m", "trickle.cli", "f", "eq", "--", result.stdout.strip(), word)
+    assert (result.returncode, result.stdout) == (0, "equal\n"), result.stderr
 
 
 LONG_TOKEN = "a" * 5000

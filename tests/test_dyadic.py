@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trickle.dyadic import Dyadic, power_of_two_ratio
+from trickle.dyadic import MAX_PARSED_EXP, Dyadic, power_of_two_ratio
 
 D = Dyadic
 
@@ -29,6 +31,38 @@ def test_parse():
         D.parse("1/3")
     with pytest.raises(ValueError):
         D.parse("1/0")
+
+
+def test_parse_power_of_two_denominator():
+    assert D.parse("3/2**3") == D(3, 3)
+    assert D.parse("-1/2**1000001") == D(-1, 1000001)
+    assert D.parse("6/2**0") == D(6)
+    assert D.parse("4/2**2") == D(1)
+    for bad in ("1/2**-1", f"1/2**{MAX_PARSED_EXP + 1}", "1/2**x", "1/2**"):
+        with pytest.raises(ValueError):
+            D.parse(bad)
+
+
+def _denominator_fits(e):
+    try:
+        str(1 << e)
+    except ValueError:
+        return False
+    return True
+
+
+def test_str_writes_2_to_the_e_only_past_the_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter sets no int-to-str digit limit")
+    first = (10 ** limit).bit_length()     # least e with 2**e over the limit
+    for e in range(first - 20, first + 20):
+        x = D(-1, e)
+        text = str(x)
+        assert ("**" not in text) == _denominator_fits(e), e
+        assert text == (f"-1/{1 << e}" if e < first else f"-1/2**{e}")
+        assert D.parse(text) == x
+    assert str(D(-1, 1000001)) == "-1/2**1000001"
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from trickle.dyadic import Dyadic
@@ -109,6 +111,20 @@ def test_affine_quandle():
     assert q.phi(half, one) == one           # identity above the base
     assert q.phi(one, one) == one
     assert q.mu(one) == INFINITY
+
+
+def test_quandle_phi_pow_matches_iterated_averaging():
+    q = affine_quandle_graph()
+    rng = random.Random(9)
+    for _ in range(200):
+        x, y = (Dyadic(rng.randint(-500, 500), rng.randint(0, 6)) for _ in range(2))
+        up = down = y
+        for a in range(1, 25):
+            # below x, phi_x averages toward x and its inverse doubles away
+            up = Dyadic.mid(up, x) if y <= x else up
+            down = down.double() - x if y <= x else down
+            assert q.phi_pow(x, a, y) == up
+            assert q.phi_pow(x, -a, y) == down
 
 
 def test_fixture_registry():

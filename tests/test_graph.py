@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from corrupt import BROKEN
 from trickle.dyadic import Dyadic
 from trickle.families import (affine_quandle_graph, cactus, dual_cactus_s3,
-                              fixture, gar3, FIXTURES)
+                              fixture, gar3, FIXTURES, LAZY_FIXTURES)
 from trickle.graph import (GraphError, INFINITY, LAZY_POWER_CAP, TrickleGraph, spot_check,
                            validate)
 from trickle.thompson import TOP, f_graph
@@ -212,6 +212,17 @@ def test_lazy_dual_swaps_the_star_maps():
     assert d.phi_inv(x, y) == g.phi(x, y)
 
 
+@pytest.mark.parametrize("name", sorted(LAZY_FIXTURES))
+def test_lazy_dual_negates_the_exponent(name):
+    g = fixture(name)
+    d = g.dual()
+    rng = random.Random(4)
+    for _ in range(50):
+        x, y = (_random_lazy_vertex(name, rng) for _ in range(2))
+        for a in (1, -1, 2, -3, 17, -40):
+            assert d.phi_pow(x, a, y) == g.phi_pow(x, -a, y)
+
+
 def test_lazy_graphs_have_no_tables():
     for query in (lambda g: g.tables(), lambda g: g.with_ranking([TOP])):
         with pytest.raises(GraphError):
@@ -326,6 +337,26 @@ def test_spot_check_lists_each_witness_once():
     full = validate(g)
     assert [v.witness for v in full.violations] == [("a", "b")]
     assert spot_check(g, itertools.combinations(g.vertices, 3)).violations == full.violations
+
+
+def _quandle_breaking_the_power_law():
+    """The quandle's phi and phi_inv, but phi_pow at |a| >= 2 is one step short."""
+    q = affine_quandle_graph()
+
+    def phi_pow(x, a, y):
+        return q.phi_pow(x, a if abs(a) < 2 else a - (a > 0) + (a < 0), y)
+    return TrickleGraph.lazy(mu=INFINITY, phi_pow=phi_pow, contains=q.contains_vertex,
+                             name="short powers")
+
+
+def test_spot_check_samples_the_power_law():
+    g = _quandle_breaking_the_power_law()
+    x, y, z = Dyadic(0), Dyadic(1, 1), Dyadic(1)
+    assert g.phi(z, x) == affine_quandle_graph().phi(z, x)
+    report = spot_check(g, [(x, y, z)])
+    assert report.axioms_violated() == ["structure"]
+    assert (z, x) in [v.witness for v in report.violations]
+    assert any("is not phi_" in v.detail for v in report.violations)
 
 
 def test_spot_check_vacuous():

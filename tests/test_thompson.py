@@ -9,7 +9,7 @@ from trickle.dyadic import Dyadic
 from trickle.graph import GraphError
 from trickle.pilings import element_from_text, from_syllables
 from trickle.thompson import (TOP, evaluate_letters, f_graph, h_apply,
-                              h_apply_inv, level, pred, succ)
+                              h_apply_inv, h_pow, level, pred, succ)
 
 D = Dyadic
 
@@ -172,6 +172,50 @@ def test_h_maps_each_rung_one_down():
             assert h_apply(x, lo) == below
             assert h_apply(x, hi) == lo
             assert h_apply(x, Dyadic.mid(lo, hi)) == Dyadic.mid(below, lo)
+
+
+def _closed_form_cases(rng):
+    """Seeded (x, y) pairs covering every branch of the rung index: TOP as
+    x or y, integer x, y at or above x, y on the ladder above v_0, on the
+    prefix rungs of v_0 and below floor(v_0)."""
+    for _ in range(80):
+        x = D(rng.randint(-600, 600), rng.choice([0, 0, *range(1, 10)]))
+        v0 = x - D(1, x.exp)
+        y = rng.choice([
+            D(rng.randint(-6000, 6000), rng.randint(0, 12)),      # anywhere
+            x - D(rng.randint(1, 1 << 12), x.exp + 12),           # above v0
+            v0.floor() + D(v0.num % (1 << v0.exp) * rng.randint(0, 1023),
+                           v0.exp + 10),                          # prefix rungs
+            D(v0.floor() - rng.randint(1, 40)) + D(rng.randint(0, 63), 6),  # integer rungs
+            x + D(rng.randint(0, 99), rng.randint(0, 4)),         # fixed: y >= x
+        ])
+        yield x, y
+    for _ in range(15):
+        yield TOP, D(rng.randint(-500, 500), rng.randint(0, 8))
+        yield D(rng.randint(-50, 50), rng.randint(0, 4)), TOP
+
+
+def test_phi_pow_closed_form_matches_iterated_generators():
+    g = f_graph()
+    rng = random.Random(16)
+    checked = 0
+    for x, y in _closed_form_cases(rng):
+        up = down = y
+        for k in range(1, 65):
+            if y is not TOP:
+                up, down = h_apply(x, up), h_apply_inv(x, down)
+            assert g.phi_pow(x, k, y) == h_pow(x, k, y) == up, (x, k, y)
+            assert g.phi_pow(x, -k, y) == h_pow(x, -k, y) == down, (x, -k, y)
+            checked += 2
+    assert checked >= 3000
+
+
+def test_phi_pow_far_up_the_ladder():
+    g = f_graph()
+    assert g.phi_pow(D(0), -1_000_000, D(-1, 1)) == D(-1, 1_000_001)
+    assert g.phi_pow(D(0), 1_000_000, D(-1, 1_000_001)) == D(-1, 1)
+    # below the base rung of 0 the generator is the unit translation
+    assert g.phi_pow(D(0), 1_000_000, D(-1, 1)) == D(-1_000_000)
 
 
 # ----------------------------------------------------------------------

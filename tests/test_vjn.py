@@ -146,3 +146,10 @@ def test_perm_helpers():
     s1, s2 = transposition(3, 1), transposition(3, 2)
     assert perm_mul(s1, s1) == perm_identity(3)
     assert perm_mul(perm_mul(s1, s2), s1) == perm_mul(perm_mul(s2, s1), s2)
+
+
+def test_bad_tuple_token_error_is_bounded():
+    token = "(" + "1," * 3000 + "x)"
+    with pytest.raises(GraphError, match="bad tuple token") as err:
+        kjn_graph(3).parse_vertex(token)
+    assert len(str(err.value)) < 100
