@@ -3,19 +3,12 @@
 from __future__ import annotations
 
 import reprlib
-import sys
-from functools import lru_cache
 
 # Largest e accepted in a parsed n/2**e: one such number holds 1.25 MB.
 MAX_PARSED_EXP = 10 ** 7
-# The interpreter's bound on int-to-str digits (0 = none; older 3.10 has none).
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-@lru_cache(maxsize=None)
-def _least_exp_past(digits: int) -> int:
-    """Least e for which 2**e has more than ``digits`` decimal digits."""
-    return (10 ** digits).bit_length()
+# Least e for which 2**e has more than 4300 decimal digits, CPython's default
+# int-to-str limit; from there on a denominator is written 2**e.
+POWER_FORM_EXP = (10 ** 4300).bit_length()
 
 
 class Dyadic:
@@ -59,11 +52,10 @@ class Dyadic:
         return cls(num, den.bit_length() - 1)
 
     def __str__(self):
-        """n, n/d, or n/2**e where d would pass the interpreter's digit limit."""
+        """n, n/d, or n/2**e where d would have more than 4300 digits."""
         if self.exp == 0:
             return str(self.num)
-        limit = _max_str_digits()
-        if limit and self.exp >= _least_exp_past(limit):
+        if self.exp >= POWER_FORM_EXP:
             return f"{self.num}/2**{self.exp}"
         return f"{self.num}/{1 << self.exp}"
 

@@ -184,10 +184,16 @@ def _rung(x: Dyadic, j: int) -> Dyadic:
     m = _ones(v0)
     if j < -m:
         return Dyadic(v0.floor() + j + m)
-    n = v0.num
-    for _ in range(-j):
-        n &= n - 1      # one rung down drops the last 1 digit
-    return Dyadic(n, v0.exp)
+    # each rung down drops the last 1 digit: cut below the least t that has
+    # -j of them under it, found by bisection so the cost is O(bits log bits)
+    n, lo, hi = v0.num, 0, v0.exp
+    while lo < hi:
+        t = (lo + hi) // 2
+        if (n & ((1 << t) - 1)).bit_count() < -j:
+            lo = t + 1
+        else:
+            hi = t
+    return Dyadic(n >> lo << lo, v0.exp)
 
 
 def _rung_index(x: Dyadic, a: Dyadic) -> int:

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from trickle.cli import MAX_SAMPLES, main
 from trickle.confluence import MAX_STRATA
+from trickle.dyadic import MAX_PARSED_EXP
 from trickle.families import cactus, dual_cactus_s3, gar3
 from trickle.graph import TrickleGraph
 from trickle.jsonio import dump_graph
@@ -288,6 +289,15 @@ def test_f_nf_far_power_prints_2_to_the_e_and_parses_back():
     assert (result.returncode, result.stdout) == (0, "0^1000000 -1/2**1000001\n"), result.stderr
     result = _python("-m", "trickle.cli", "f", "eq", "--", result.stdout.strip(), word)
     assert (result.returncode, result.stdout) == (0, "equal\n"), result.stderr
+
+
+@pytest.mark.parametrize("e", [1_000_001, MAX_PARSED_EXP], ids=["e-1000001", "e-max"])
+def test_f_nf_lifts_the_lowest_prefix_rung_of_a_long_ladder(e):
+    # the ladder below -1/2**e has v_0 = -1 + 0.1...1 with e - 1 one digits;
+    # conjugating -3/4 up from the lowest prefix rung cuts v_0 after its first
+    # and second 1 (quadratic if the others were dropped one at a time)
+    result = _python("-m", "trickle.cli", "f", "nf", "--", f"-3/4^-1 -1/2**{e}")
+    assert (result.returncode, result.stdout) == (0, f"-1/2**{e} -3/8^-1\n"), result.stderr
 
 
 LONG_TOKEN = "a" * 5000

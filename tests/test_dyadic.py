@@ -1,10 +1,8 @@
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trickle.dyadic import MAX_PARSED_EXP, Dyadic, power_of_two_ratio
+from trickle.dyadic import MAX_PARSED_EXP, POWER_FORM_EXP, Dyadic, power_of_two_ratio
 
 D = Dyadic
 
@@ -43,23 +41,12 @@ def test_parse_power_of_two_denominator():
             D.parse(bad)
 
 
-def _denominator_fits(e):
-    try:
-        str(1 << e)
-    except ValueError:
-        return False
-    return True
-
-
 def test_str_writes_2_to_the_e_only_past_the_digit_limit():
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("this interpreter sets no int-to-str digit limit")
-    first = (10 ** limit).bit_length()     # least e with 2**e over the limit
+    first = POWER_FORM_EXP
+    assert 1 << (first - 1) < 10 ** 4300 <= 1 << first   # 2**first has 4301 digits
     for e in range(first - 20, first + 20):
         x = D(-1, e)
         text = str(x)
-        assert ("**" not in text) == _denominator_fits(e), e
         assert text == (f"-1/{1 << e}" if e < first else f"-1/2**{e}")
         assert D.parse(text) == x
     assert str(D(-1, 1000001)) == "-1/2**1000001"

@@ -218,6 +218,15 @@ def test_phi_pow_far_up_the_ladder():
     assert g.phi_pow(D(0), 1_000_000, D(-1, 1)) == D(-1_000_000)
 
 
+def test_phi_pow_from_the_bottom_of_a_million_prefix_rungs():
+    # v_0 of x is -1 + 0.11...1 with 10^6 one digits; y sits on its lowest
+    # prefix rung, so a step up cuts v_0 after 1 and 2 of them
+    x, y = D(-1, 1_000_001), D(-3, 2)
+    assert h_pow(x, -1, y) == h_apply_inv(x, y) == D(-3, 3)
+    assert h_pow(x, 1, y) == h_apply(x, y) == D(-3, 1)
+    assert h_pow(x, -2, y) == h_apply_inv(x, D(-3, 3)) == D(-3, 4)
+
+
 # ----------------------------------------------------------------------
 # the lazy graph and its word problem
 
