@@ -2,21 +2,29 @@
 """Time ``normalize``, the two verifier checks, ``from_syllables`` and the kernel compile.
 
 One word per fixture and length, the same on every run for a given
-seed; each is normalized three times in this process and the best
-time is kept.  The record holds the commit, a host line and one row
-per (fixture, letters): the best time in seconds, the number of strata
-in the normal form and a digest of it, so two records of one seed can
-also be checked for equal normal forms.  Then ``check_critical_pairs``
+seed.  Its first ``normalize`` runs on a freshly built copy of the
+graph whose step table is still empty (the kernel is compiled before
+the clock starts): that is the cold time.  Then it is normalized three
+times more and the best time is kept, the warm time, since a finite
+graph keeps the moves it has met.  The record holds the commit, a host
+line and one row per (fixture, letters): the cold and best times in
+seconds, the number of strata in the normal form and a digest of it, so
+two records of one seed can also be checked for equal normal forms.
+Then ``check_critical_pairs``
 runs once per fixture at support 3 and exponent 2; its rows hold the
 pair count, the verdict and the time of that one run.  Then
 ``check_strategy_independence`` runs once per fixture on 1000 random
 pilings under 20 strategies each, seeded with ``Random(100)``; its rows
 hold the sample count, the verdict and the time.  Next,
 ``from_syllables`` runs on batches of ten words at the lengths of the
-perfbench ``wordproblem`` workload; each row holds the best time of the
-batch and a digest of its normal forms.  Last, the integer kernel of
-``kjn_graph(n)`` is compiled for n = 4..6; each row holds the best time
-and the number of table entries.
+perfbench ``wordproblem`` workload; each row holds the cold time of the
+batch on a fresh copy of the graph, the best of three more and a digest
+of its normal forms.  After a fixture's batches, its step table is
+recorded: strata, entries (strata plus moves, the count the table bound
+caps) and the memory it holds, traced by ``tracemalloc`` while the
+batches run once more on another fresh copy.  Last, the integer kernel
+of ``kjn_graph(n)`` is compiled for n = 4..6; each row holds the best
+time and the number of table entries.
 
     python3 scripts/bench.py --out BENCH_<n>.json
 """
@@ -30,6 +38,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # time the checkout this script lives in, not an installed copy
@@ -73,6 +82,33 @@ def best_time(fn):
     return best, out
 
 
+def cold_time(g, fn):
+    """Seconds of ``fn(fresh)`` on a fresh copy of ``g`` with its kernel
+    compiled, so the step table starts empty; and the copy."""
+    fresh = g.with_ranking(g.vertices)
+    fresh.kernel()
+    t0 = time.perf_counter()
+    fn(fresh)
+    return time.perf_counter() - t0, fresh
+
+
+def table_size(g, fn):
+    """Strata, entries and traced MB of the step table ``fn`` leaves on a
+    fresh copy of ``g``."""
+    fresh = g.with_ranking(g.vertices)
+    kernel = fresh.kernel()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(fresh)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    table = kernel.table
+    return {"strata": len(table.strata), "entries": len(table.strata) + table.moves,
+            "table_mb": round(held / 2 ** 20, 3)}
+
+
 def digest(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
@@ -99,10 +135,13 @@ def main():
         g = fixture(name)
         for n in LETTERS:
             word = random_word(g, random.Random(f"{args.seed}:{name}:{n}"), n)
-            best, nf = best_time(lambda: normalize(g, word))
-            rows.append({"fixture": name, "letters": n, "best_s": round(best, 6),
+            cold, fresh = cold_time(g, lambda h: normalize(h, word))
+            best, nf = best_time(lambda: normalize(fresh, word))
+            rows.append({"fixture": name, "letters": n, "cold_s": round(cold, 6),
+                         "best_s": round(best, 6),
                          "strata_out": len(nf), "nf_digest": digest(nf)})
-            print(f"{name:8} {n:>6} {best * 1000:>10.1f} ms", flush=True)
+            print(f"{name:8} {n:>6} {cold * 1000:>10.1f} cold {best * 1000:>10.1f} ms",
+                  flush=True)
 
     pairs = []
     for name in PAIR_FIXTURES:
@@ -126,16 +165,25 @@ def main():
                         "ok": report.ok, "seconds": round(seconds, 3)})
         print(f"{name:8} {report.samples_checked:>9} samples {seconds:>6.2f} s", flush=True)
 
-    words = []
+    words, tables = [], []
     for name in FIXTURES:
         g = fixture(name)
+        batches = []
         for n in WORD_LETTERS:
             rng = random.Random(f"{args.seed}:words:{name}:{n}")
             batch = [[s for (s,) in random_word(g, rng, n)] for _ in range(WORDS)]
-            best, nfs = best_time(lambda: [from_syllables(g, w).piling for w in batch])
+            batches.append(batch)
+            cold, fresh = cold_time(g, lambda h: [from_syllables(h, w) for w in batch])
+            best, nfs = best_time(lambda: [from_syllables(fresh, w).piling for w in batch])
             words.append({"fixture": name, "letters": n, "words": WORDS,
-                          "best_s": round(best, 6), "nf_digest": digest(nfs)})
-            print(f"{name:8} {n:>6} {best * 1000:>10.2f} ms from_syllables x{WORDS}", flush=True)
+                          "cold_s": round(cold, 6), "best_s": round(best, 6),
+                          "nf_digest": digest(nfs)})
+            print(f"{name:8} {n:>6} {cold * 1000:>10.2f} cold {best * 1000:>10.2f} ms "
+                  f"from_syllables x{WORDS}", flush=True)
+        size = table_size(g, lambda h: [from_syllables(h, w) for b in batches for w in b])
+        tables.append({"fixture": name, **size})
+        print(f"{name:8} table {size['strata']:>6} strata {size['entries']:>7} entries "
+              f"{size['table_mb']:>7.3f} MB", flush=True)
 
     kernels = []
     for n in KERNEL_SIZES:
@@ -156,6 +204,7 @@ def main():
         "critical_pairs": pairs,
         "strategy_independence": samples,
         "from_syllables": words,
+        "step_tables": tables,
         "kernel_compile": kernels,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -161,10 +161,11 @@ class Kernel:
     (a tuple of ids) and its index in it, so phi_i^a(j) is
     cycle[(index + a) % len(cycle)], and every other star vertex is fixed.
     The tables grow with the stars, not with n squared.  ``graph`` keeps the
-    name oracle for translating back and for errors.
+    name oracle for translating back and for errors.  ``table`` caches the
+    moves ``pilings`` makes on these tables, so it never changes an answer.
     """
 
-    __slots__ = ("graph", "index", "adj", "mu", "pw")
+    __slots__ = ("graph", "index", "adj", "mu", "pw", "table")
 
     def __init__(self, graph):
         self.graph = graph
@@ -183,14 +184,16 @@ class Kernel:
                         moved[index[y]] = (ids, i)
                 cycles = moved
             self.pw.append(cycles)
+        self.table = None
 
 
 class TrickleGraph:
     """Query oracle for a vertex-ordered graph with star maps.
 
     Immutable after construction; all methods are pure queries, so shared
-    concurrent reads are safe.  Construct finite graphs with ``build`` and
-    infinite ones with ``lazy``; derived graphs come out of the same two.
+    concurrent reads are safe: the one cache, the step table of the
+    ``Kernel``, never changes an answer.  Construct finite graphs with
+    ``build`` and infinite ones with ``lazy``; derived ones come from those.
     """
 
     def __init__(self):

@@ -24,16 +24,18 @@ the ranking is part of the graph, so one graph yields one normal form
 per element.
 
 ``normalize`` and ``from_syllables`` run a finite graph on its integer
-``Kernel`` (``graph.py``): vertices become their ranks once on the way
-in and names again once on the way out, and in between ``_kernel_step``
-moves syllables with bitmask and cycle-table lookups.  Lazy graphs,
-``product`` and the verifier step on vertex names through the graph
-oracle; every route makes the same move at every pair.
+``Kernel`` (``graph.py``): each stratum becomes an id of the kernel's
+step table once on the way in and names once on the way out, and the
+move at a pair of ids is read from the table, which ``_kernel_step``
+fills the first time the graph meets the pair.  Lazy graphs, ``product``
+and the verifier step on names; every route makes the same moves.
 """
 
 from __future__ import annotations
 
 import reprlib
+import threading
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .graph import INFINITY, GraphError, TrickleGraph
@@ -156,37 +158,78 @@ def normalize(graph, piling) -> Piling:
     (``scripts/bench.py``).  Confluence makes the result independent of
     the order of the moves.
 
-    On a finite graph the strata are translated once to the ids of its
-    ``Kernel``, reduced by ``_kernel_step`` and translated back; a lazy
-    graph is reduced by ``_step`` on its vertices.  Both steps make the
-    same move at every pair, so the result is the same.  The move at a
-    pair depends on the pair alone, so a dict living for this one call
-    (leaves and joins alike) maps each pair (U, V) met so far to the step
-    it takes; a pair met again reuses that entry and makes the same move
-    as a fresh search would.
+    On a finite graph the strata become ids of the step table of its
+    ``Kernel`` and are reduced with the table's moves; a lazy graph is
+    reduced by ``_step`` with a memo for this one call.  The move at a pair
+    depends on the pair alone, so a pair met again, in this call or an
+    earlier one, reuses its entry: the move a fresh search would make.
     """
     kernel = graph.kernel()
     if kernel is None:
-        return _halves(graph, [U for U in piling if U], _step, {})
+        return _halves(graph, [U for U in piling if U], _step, defaultdict(dict))
+    index = kernel.index
     try:
-        strata = _relabel(piling, kernel.index)
+        strata = [tuple([(index[v], a) for v, a in U]) for U in piling if U]
     except KeyError as e:
         raise GraphError(f"unknown vertex {reprlib.repr(e.args[0])}") from None
-    return tuple(_relabel(_halves(kernel, strata, _kernel_step, {}), kernel.graph.vertices))
+    return _on_table(kernel, strata)
 
 
-def _relabel(strata, label):
-    """The nonempty strata with each vertex v read as ``label[v]``: names to
-    kernel ids or back.  Equal strata are relabeled once, into one tuple."""
-    seen, out = {}, []
-    for U in strata:
-        S = seen.get(U)
-        if S is None:
-            if not U:
-                continue
-            S = seen[U] = tuple([(label[v], a) for v, a in U])
-        out.append(S)
-    return out
+# A call replaces a step table over this many strata plus moves, keeping others'
+# ids: 0.2-0.4 MB per graph, 1 MB on GAR3; 2x: wordproblem +5%, algebra RSS +6%.
+_TABLE_BOUND = 1 << 12
+
+
+class _StepTable:
+    """The moves met on one finite graph, on stratum ids, across calls.
+
+    ``sids`` maps a stratum in kernel ids to its index in ``strata``;
+    ``rows[u]``, the memo of ``_settle``, maps v to the ids the move at
+    (u, v) leaves, or to None; ``names`` caches strata in vertex names.
+    The lock keeps a stratum from getting two ids, and ``sids`` gets an id
+    after its stratum and row; row entries written twice are equal, and
+    ``moves`` may miss a count under threads.
+    """
+
+    __slots__ = ("kernel", "sids", "strata", "rows", "names", "moves", "lock")
+
+    def __init__(self, kernel):
+        self.kernel, self.sids, self.strata, self.rows, self.names = kernel, {}, [], [], {}
+        self.moves, self.lock = 0, threading.Lock()
+
+    def sid(self, S):
+        u = self.sids.get(S)
+        if u is None:
+            with self.lock:
+                u = self.sids.get(S)
+                if u is None:
+                    u = len(self.strata)
+                    self.strata.append(S)
+                    self.rows.append({})
+                    self.sids[S] = u
+        return u
+
+
+def _on_table(kernel, strata):
+    """``normalize`` of nonempty ``strata`` in kernel ids, back in names, on the
+    table bound at the call's start: a fresh one once over _TABLE_BOUND."""
+    table = kernel.table
+    if table is None or len(table.strata) + table.moves > _TABLE_BOUND:
+        table = kernel.table = _StepTable(kernel)
+    names, verts, out = table.names, kernel.graph.vertices, []
+    for u in _halves(table, list(map(table.sid, strata)), _table_step, table.rows):
+        N = names.get(u)
+        if N is None:
+            N = names[u] = tuple([(verts[x], a) for x, a in table.strata[u]])
+        out.append(N)
+    return tuple(out)
+
+
+def _table_step(table, u, v):
+    """``_kernel_step`` at the strata with ids u and v, its strata interned."""
+    t = _kernel_step(table.kernel, table.strata[u], table.strata[v])
+    table.moves += 1
+    return t and tuple([table.sid(S) for S in t])
 
 
 # Splitting short words costs more than it saves on KJ4, RAAG-C6 and
@@ -297,8 +340,9 @@ def _kernel_step(kernel, U, V):
 
 def _named_step(kernel, U, V):
     """``_step`` on the vertex names behind the id strata U and V, back in ids."""
-    t = _step(kernel.graph, *_relabel((U, V), kernel.graph.vertices))
-    return t and tuple(_relabel(t, kernel.index))
+    verts, index = kernel.graph.vertices, kernel.index
+    t = _step(kernel.graph, *[tuple([(verts[x], a) for x, a in S]) for S in (U, V)])
+    return t and tuple([tuple([(index[v], a) for v, a in W]) for W in t])
 
 
 _UNSEEN = object()
@@ -316,19 +360,23 @@ def _settle(graph, strata, i, h, step, memo):
     first stratum after the rewritten ones (the last stratum when there
     is none).  Once the cursor passes the frontier, no pair is
     reducible.  The move at a pair is ``step(graph, U, V)``: ``_step`` on
-    strata of vertices, ``_kernel_step`` on strata of a kernel's ids (then
-    ``graph`` is the kernel), or a caller's own step on interned strata.
-    ``memo`` maps pairs already searched to their step, or is None to
-    search every pair afresh.
+    strata of vertices, ``_table_step`` on stratum ids (then ``graph`` is
+    the step table), or a caller's own step on interned strata.  ``memo[U]``
+    is the row of U, mapping each V searched to its step (a missing row is
+    added), or ``memo`` is None to search every pair afresh.
     """
     while i < h:
         U, V = strata[i], strata[i + 1]
         if memo is None:
             t = step(graph, U, V)
         else:
-            t = memo.get((U, V), _UNSEEN)
+            try:
+                row = memo[U]
+            except KeyError:
+                row = memo[U] = {}
+            t = row.get(V, _UNSEEN)
             if t is _UNSEEN:
-                t = memo[U, V] = step(graph, U, V)
+                t = row[V] = step(graph, U, V)
         if t is None:
             i += 1
         else:
@@ -406,7 +454,7 @@ def from_syllables(graph, pairs) -> GroupElement:
 
     On a finite graph each vertex is checked and translated to its kernel
     id and each exponent reduced in the same pass, and the one-syllable
-    strata are normalized on the kernel.
+    strata are normalized on the kernel's step table, as in ``normalize``.
     """
     kernel = graph.kernel()
     strata = []
@@ -426,8 +474,7 @@ def from_syllables(graph, pairs) -> GroupElement:
         c = k % mu[x] if mu[x] else k
         if c:
             strata.append(((x, c),))
-    strata = _halves(kernel, strata, _kernel_step, {})
-    return GroupElement(graph, tuple(_relabel(strata, kernel.graph.vertices)))
+    return GroupElement(graph, _on_table(kernel, strata))
 
 
 def nf_letters(graph, piling):

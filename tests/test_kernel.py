@@ -7,7 +7,11 @@ same pilings and raise the same errors.
 """
 
 import random
+import re
 import reprlib
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
@@ -15,12 +19,14 @@ from corrupt import BROKEN
 from trickle.confluence import random_piling
 from trickle.families import FIXTURES, fixture
 from trickle.graph import INFINITY, GraphError, TrickleGraph
-from trickle.pilings import (_LEAF, _halves, _step, canonical_exponent, from_syllables,
-                             normalize)
+from trickle import pilings
+from trickle.pilings import (_LEAF, _halves, _kernel_step, _step, canonical_exponent,
+                             from_syllables, normalize, sort_stratum)
 from trickle.thompson import f_graph
 from trickle.vjn import kjn_graph
 
 LETTERS = (1, 50, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 800)
+TABLE_MB = 1.5     # one step table at its bound, on any fixture
 
 
 def reference_normalize(graph, piling):
@@ -36,6 +42,11 @@ def reference_from_syllables(graph, pairs):
         if c:
             strata.append(((v, c),))
     return reference_normalize(graph, strata)
+
+
+def table_entries(table):
+    """What the step table bound counts: strata plus moves."""
+    return len(table.strata) + table.moves
 
 
 def outcome(fn, *args):
@@ -160,3 +171,193 @@ def test_kernel_tables_grow_with_the_stars():
     stars = sum(len(g.star(v)) for v in g.vertices)
     assert len(g.vertices) == 1950
     assert entries <= len(g.vertices) + stars
+
+
+def test_step_table_holds_at_most_the_bound_plus_one_call(monkeypatch):
+    # a call binds the table it starts with, and a table over the bound
+    # is never bound again: the next call gets a fresh one
+    bound = 300
+    monkeypatch.setattr(pilings, "_TABLE_BOUND", bound)
+    g = fixture("RAAG-C6")
+    k = g.kernel()
+    k.table = None
+    rng = random.Random("table:bound")
+    replaced = most = 0
+    for _ in range(100):
+        t = k.table
+        before = table_entries(t) if t is not None else 0
+        from_syllables(g, random_word(g, rng, 60))
+        if k.table is t:
+            assert before <= bound
+        else:
+            replaced += 1
+            before = 0
+        most = max(most, table_entries(k.table) - before)
+    assert replaced > 3
+    assert table_entries(k.table) <= bound + most
+
+
+def test_step_table_memory_stays_within_the_stated_bound():
+    # the bound of _TABLE_BOUND's comment and the README; GAR3 has the
+    # most strata per move of the fixtures, so it fills the most memory
+    g = fixture("GAR3")
+    k = g.kernel()
+    rng = random.Random("table:memory")
+    tracemalloc.start()
+    try:
+        before, most = tracemalloc.get_traced_memory()[0], 0
+        first = k.table
+        while k.table is first or table_entries(k.table) <= pilings._TABLE_BOUND:
+            from_syllables(g, random_word(g, rng, 200))
+            most = max(most, tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    assert most <= TABLE_MB * 2 ** 20
+
+
+# ----------------------------------------------------------------------
+# the step table a finite graph's kernel keeps across calls
+
+WARM_LENGTHS = (3, 17, 40)      # none of them in LETTERS
+
+
+def warm(graph, rng, words=200):
+    """Fill the graph's step table with seeded words of other lengths."""
+    for i in range(words):
+        outcome(from_syllables, graph, random_word(graph, rng, WARM_LENGTHS[i % 3]))
+
+
+def assert_table_sound(table):
+    """Every id names its stratum, and every move kept is the move a fresh
+    ``_kernel_step`` makes; a pair where it raises keeps nothing."""
+    assert len(table.sids) == len(table.strata) == len(table.rows)
+    assert all(table.sids[S] == u for u, S in enumerate(table.strata))
+    for u, row in enumerate(table.rows):
+        for v, t in row.items():
+            fresh = _kernel_step(table.kernel, table.strata[u], table.strata[v])
+            assert fresh == (None if t is None else tuple(table.strata[w] for w in t))
+
+
+@pytest.mark.parametrize("state", ["cold", "warm", "replaced"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_step_table_matches_the_name_step(name, state, monkeypatch):
+    # "replaced": the bound drops just below the warm table's entries, so
+    # the routes start on a fresh table and cross the bound again
+    rng = random.Random(f"table:{name}:{state}")
+    base = fixture(name)
+    for g in (base, base.dual()):
+        k = g.kernel()
+        k.table = None
+        if state != "cold":
+            warm(g, rng)
+            full = k.table
+            if state == "replaced":
+                monkeypatch.setattr(pilings, "_TABLE_BOUND", table_entries(full) - 1)
+        assert_same_routes(g, rng)
+        assert_table_sound(k.table)
+        if state == "replaced":
+            assert k.table is not full
+
+
+ERROR_GRAPHS = {
+    **{f"broken-{axiom}": make for axiom, make in BROKEN.items()},
+    "not-injective": lambda: TrickleGraph.build(*NOT_INJECTIVE),
+    "outside-the-star": lambda: TrickleGraph.build(*OUTSIDE_THE_STAR),
+    "path": lambda: TrickleGraph.build(["a", "b", "c"], INFINITY, [("a", "b"), ("b", "c")]),
+}
+
+
+def loose_piling(graph, rng):
+    """Strata of any 1-3 distinct vertices, edges or not, in ranking order."""
+    strata = []
+    for _ in range(rng.randint(1, 6)):
+        support = rng.sample(graph.vertices, rng.randint(1, min(3, len(graph.vertices))))
+        strata.append(sort_stratum(graph, [(v, rng.choice((-1, 1, 2))) for v in support]))
+    return tuple(strata)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_GRAPHS))
+def test_warm_table_raises_the_name_step_errors(name):
+    # loose pilings reach the unsound maps and the vertices off a star
+    g = ERROR_GRAPHS[name]()
+    rng = random.Random(f"table:{name}")
+    warm(g, rng)
+    assert_same_routes(g, rng)
+    for _ in range(100):
+        piling = loose_piling(g, rng)
+        assert outcome(normalize, g, piling) == outcome(reference_normalize, g, piling)
+    assert_table_sound(g.kernel().table)
+
+
+def test_a_raising_step_leaves_no_entry():
+    g = TrickleGraph.build(*NOT_INJECTIVE)
+    text = "phi_'x' is not injective: 'y' and 'z' both map to 'z'"
+    for _ in range(2):
+        with pytest.raises(GraphError, match=re.escape(text)):
+            from_syllables(g, [("y", 1), ("x", 1)])
+        assert_table_sound(g.kernel().table)
+        word = [("x", 1), ("y", 1), ("z", 1)]
+        assert from_syllables(g, word).piling == reference_from_syllables(g, word)
+
+
+class _SwitchingDict(dict):
+    """A dict whose reads and writes run Python code, where the interpreter
+    may switch threads: between a miss and the write that follows it."""
+
+    def get(self, key, default=None):
+        return dict.get(self, key, default)
+
+    def __setitem__(self, key, value):
+        dict.__setitem__(self, key, value)
+
+
+class _SwitchingTable(pilings._StepTable):
+    __slots__ = ()
+
+    def __init__(self, kernel):
+        super().__init__(kernel)
+        self.sids = _SwitchingDict()
+
+
+def test_threads_share_one_table(monkeypatch):
+    # the bound is low, so tables are replaced while the threads run; each
+    # word starts in all threads at once, so they meet the same new strata
+    # together, and without the lock some stratum gets two ids
+    monkeypatch.setattr(pilings, "_TABLE_BOUND", 200)
+    monkeypatch.setattr(pilings, "_StepTable", _SwitchingTable)
+    g = fixture("J5")
+    rng = random.Random("table:threads")
+    words = [random_word(g, rng, rng.randrange(5, 60)) for _ in range(100)]
+    serial = [reference_from_syllables(g, w) for w in words]
+    k = g.kernel()
+    k.table = None
+    tables, results, errors = {}, [None] * 4, []
+    step = threading.Barrier(4, timeout=60)
+
+    def work(n):
+        try:
+            out = []
+            for w in words:
+                step.wait()
+                out.append(from_syllables(g, w).piling)
+                tables.setdefault(id(k.table), k.table)
+            results[n] = out
+        except Exception as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert results == [serial] * 4
+    assert len(tables) > 1
+    for table in tables.values():
+        assert_table_sound(table)
