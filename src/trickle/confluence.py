@@ -2,7 +2,7 @@
 
 Two independent checks.  The first enumerates every overlap of rewriting
 rules up to a stratum-support and exponent bound and verifies that both
-divergent successors reduce to one irreducible piling.  Overlaps come in
+divergent successors reach one irreducible piling.  Overlaps come in
 three shapes: an empty-stratum erasure overlapping a push out of the
 next stratum (C1), two pushes sharing the middle stratum (C2), and two
 pushes out of one stratum (C3).
@@ -16,10 +16,10 @@ reliably expose corrupted star maps with an explicit witness.
 The overlaps are enumerated once, as work units (``_units``) that
 ``enumerate_critical_pairs`` expands into pairs and ``check_critical_pairs``
 evaluates on interned pilings with memoized products.  A ``_Reducer``
-interns strata as ints and pilings as tuples of those ints, and keeps
-the move at each pair of stratum ids in a step table for the whole
-check, so a product that was never computed still finds most of its
-moves by one int-pair lookup.  Its products are memoized by row, one
+holds pilings as tuples of stratum ids of one ``pilings._StepTable``,
+the id step table ``normalize`` keeps per finite graph, and reduces them
+with its moves, so a product that was never computed still finds most
+of its moves by one row lookup.  Its products are memoized by row, one
 dict per left factor, so a row of products is read in one pass.  In a
 C2 unit each distinct left-hand product has its row of products with
 the incoming strata read once, and each right-hand row forms its inner
@@ -27,11 +27,8 @@ products once per distinct middle stratum V + gz before reading the
 outer products from their rows; the rows are compared as a whole.
 The strategy-independence check keeps one move table per call, so the
 random strategies search each pair of strata once.  ``resolve`` and
-the failure witnesses reduce the same two successors (the witnesses
-through ``normalize``), so a False answer always comes with two
-distinct irreducible forms as evidence.  The work units are
-embarrassingly parallel; ``check_critical_pairs`` accepts a shard index
-so callers can split them across processes.
+the failure witnesses both ``normalize`` the two successors, so a False
+answer always comes with two distinct irreducible forms as evidence.
 """
 
 from __future__ import annotations
@@ -42,8 +39,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graph import INFINITY, GraphError
-from .pilings import (_join, _step, normalize, push_syllable, sort_stratum, stratum_can_add,
-                      stratum_extract, stratum_remove, stratum_add)
+from .pilings import (_StepTable, _join, _table_step, normalize, push_syllable, sort_stratum,
+                      stratum_can_add, stratum_extract, stratum_remove, stratum_add)
 
 
 # Most strata one enumeration may build.  The work grows much faster than
@@ -168,33 +165,24 @@ def enumerate_critical_pairs(graph, max_support=3, max_exp=2):
 class _Reducer:
     """Irreducible pilings interned as ints, with a memoized pair product.
 
-    Strata are interned too, and an interned piling is a tuple of
-    stratum ids.  Products run the junction pass of ``pilings.product``
-    on those tuples, and the move at each pair of ids is kept in a step
-    table for the life of the reducer: ``(u, v)`` maps to the ids of the
-    strata the first landing push leaves, or to None.  Keying it on int
-    pairs keeps the hashing cost off every cursor step of every product.
+    A piling is held as a tuple of stratum ids of a ``pilings._StepTable``
+    of the reducer's own: the graph's shared table may be replaced by a
+    ``normalize`` call partway through a check.  ``of_stratum`` takes a
+    name stratum to kernel ids once.  Products run the junction pass of
+    ``pilings.product`` on those tuples with the table's moves, so a
+    product that was never computed still finds most of its moves by one
+    row lookup.
     The products are memoized by row: ``_rows[i]`` maps j to the id of
     i * j, so ``mult_row`` reads many products of one left factor with
     one dict lookup each and no call per product.
     """
 
     def __init__(self, graph):
-        self.graph = graph
-        self._sids = {}
-        self._strata = []
+        self.table = _StepTable(graph.kernel())
+        self._of = {}
         self._ids = {(): 0}
         self._pilings = [()]
         self._rows = [{}]
-        self._steps = {}
-
-    def _sid(self, U):
-        u = self._sids.get(U)
-        if u is None:
-            u = len(self._strata)
-            self._sids[U] = u
-            self._strata.append(U)
-        return u
 
     def intern(self, piling):
         i = self._ids.get(piling)
@@ -206,19 +194,21 @@ class _Reducer:
         return i
 
     def of_stratum(self, U):
-        return self.intern((self._sid(U),) if U else ())
-
-    def _step_ids(self, graph, u, v):
-        """``pilings._step`` on the strata behind the ids u and v, interned."""
-        t = _step(graph, self._strata[u], self._strata[v])
-        return None if t is None else tuple([self._sid(W) for W in t])
+        """Id of the one-stratum piling of the name stratum U (() when U is empty)."""
+        i = self._of.get(U)
+        if i is None:
+            index = self.table.kernel.index
+            S = tuple([(index[v], a) for v, a in U])
+            i = self._of[U] = self.intern((self.table.sid(S),) if U else ())
+        return i
 
     def mult(self, i, j):
         row = self._rows[i]
         out = row.get(j)
         if out is None:
-            out = row[j] = self.intern(_join(self.graph, self._pilings[i], self._pilings[j],
-                                             self._step_ids, self._steps))
+            table = self.table
+            out = row[j] = self.intern(_join(table, self._pilings[i], self._pilings[j],
+                                             _table_step, table.rows))
         return out
 
     def mult_row(self, i, js):
@@ -229,13 +219,6 @@ class _Reducer:
             mult = self.mult
             out = [mult(i, j) if k is None else k for j, k in zip(js, out)]
         return out
-
-    def reduce(self, piling):
-        """Id of the irreducible form of ``piling``, multiplying left to right."""
-        i = 0
-        for U in piling:
-            i = self.mult(i, self.of_stratum(U))
-        return i
 
 
 def _successors(graph, pair: CriticalPair):
@@ -264,16 +247,15 @@ def _successors(graph, pair: CriticalPair):
 def resolve(graph, pair: CriticalPair) -> bool:
     """Do the two divergent successors of the overlap meet again?
 
-    Each successor is reduced by a concrete maximal rewriting sequence;
-    True means the irreducible results coincide.  Overlaps where one side
-    cannot actually move are vacuously resolved.
+    Each successor is reduced by ``normalize``; True means the irreducible
+    results coincide.  Overlaps where one side cannot actually move are
+    vacuously resolved.
     """
     successors = _successors(graph, pair)
     if successors is None:
         return True
-    r = _Reducer(graph)
-    left, right = (r.reduce(p) for p in successors)
-    return left == right
+    left, right = successors
+    return normalize(graph, left) == normalize(graph, right)
 
 
 @dataclass
@@ -300,8 +282,7 @@ class ConfluenceReport:
         return "\n".join(lines)
 
 
-def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
-                         shard=0, shards=1) -> ConfluenceReport:
+def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> ConfluenceReport:
     """Resolve every enumerated overlap, collecting failures with evidence.
 
     Consumes the work units that ``enumerate_critical_pairs`` expands and
@@ -316,17 +297,12 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
     the incoming pairs are grouped by V2 so that each group is one row
     read.  Rows that differ are walked in incoming order, so failures
     come in pair order.  A failure's witness is the irreducible form of
-    each of its two successors.  ``shard``/``shards`` deal the work
-    units out round-robin, so the shard reports partition the full
-    check.
+    each of its two successors.  One step table, the reducer's, serves
+    the whole check.
     """
     report = ConfluenceReport()
     r = _Reducer(graph)
     mult, mult_row, of = r.mult, r.mult_row, r.of_stratum
-    unit = itertools.count()
-
-    def mine():
-        return next(unit) % shards == shard
 
     def record(pair):
         report.failures.append((pair, *(normalize(graph, p) for p in _successors(graph, pair))))
@@ -335,8 +311,6 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
     for u in _units(graph, max_support, max_exp):
         if u[0] == "C1":
             W = u[1]
-            if not mine():
-                continue
             iW = of(W)
             for s in W:
                 report.pairs_checked += 1
@@ -346,8 +320,6 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
                         return report
         elif u[0] == "C3":
             _, U, V, (y, gy), (z, gz) = u
-            if not mine():
-                continue
             report.pairs_checked += 1
             a = mult(of(stratum_add(graph, U, gy)), of(stratum_remove(V, y)))
             b = mult(of(stratum_add(graph, U, gz)), of(stratum_remove(V, z)))
@@ -367,8 +339,6 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10,
             w2s = [[iW2 for _, _, iW2 in group] for group in groups.values()]
             right, rows = {}, {}
             for y, gy, U in heads:
-                if not mine():
-                    continue
                 a1 = mult(of(stratum_add(graph, U, gy)), of(stratum_remove(V, y)))
                 a = rows.get(a1)
                 if a is None:

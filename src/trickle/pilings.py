@@ -27,12 +27,13 @@ per element.
 ``Kernel`` (``graph.py``): each stratum becomes an id of the kernel's
 step table once on the way in and names once on the way out, and the
 move at a pair of ids is read from the table, which ``_kernel_step``
-fills the first time the graph meets the pair.  Lazy graphs, ``product``
-and the verifier step on names; every route makes the same moves.
+fills the first time the graph meets the pair.  Lazy graphs and
+``product`` step on names; every route makes the same moves.
 """
 
 from __future__ import annotations
 
+import operator
 import reprlib
 import threading
 from collections import defaultdict
@@ -169,10 +170,21 @@ def normalize(graph, piling) -> Piling:
         return _halves(graph, [U for U in piling if U], _step, defaultdict(dict))
     index = kernel.index
     try:
-        strata = [tuple([(index[v], a) for v, a in U]) for U in piling if U]
+        strata = [tuple([(index[v], a if type(a) is int else _exponent(a)) for v, a in U])
+                  for U in piling if U]
     except KeyError as e:
         raise GraphError(f"unknown vertex {reprlib.repr(e.args[0])}") from None
     return _on_table(kernel, strata)
+
+
+def _exponent(a):
+    """A non-``int`` exponent as an int: the step table keys strata by value,
+    so ``True`` would share the id of ``1`` and spell later answers.  It runs
+    per syllable, so callers skip it for ints."""
+    try:
+        return operator.index(a)
+    except TypeError:
+        raise GraphError(f"non-integral exponent {reprlib.repr(a)}") from None
 
 
 # A call replaces a step table over this many strata plus moves, keeping others'
@@ -360,10 +372,10 @@ def _settle(graph, strata, i, h, step, memo):
     first stratum after the rewritten ones (the last stratum when there
     is none).  Once the cursor passes the frontier, no pair is
     reducible.  The move at a pair is ``step(graph, U, V)``: ``_step`` on
-    strata of vertices, ``_table_step`` on stratum ids (then ``graph`` is
-    the step table), or a caller's own step on interned strata.  ``memo[U]``
-    is the row of U, mapping each V searched to its step (a missing row is
-    added), or ``memo`` is None to search every pair afresh.
+    strata of vertices, or ``_table_step`` on stratum ids (then ``graph``
+    is the step table).  ``memo[U]`` is the row of U, mapping each V
+    searched to its step (a missing row is added), or ``memo`` is None to
+    search every pair afresh.
     """
     while i < h:
         U, V = strata[i], strata[i + 1]
@@ -471,6 +483,8 @@ def from_syllables(graph, pairs) -> GroupElement:
         x = index.get(v)
         if x is None:
             raise GraphError(f"unknown vertex {reprlib.repr(v)}")
+        if type(k) is not int:
+            k = _exponent(k)
         c = k % mu[x] if mu[x] else k
         if c:
             strata.append(((x, c),))

@@ -1,13 +1,12 @@
 import random
 import time
-from collections import Counter
 
 import pytest
 
 from corrupt import broken_a, broken_b, broken_c, broken_d, broken_e, broken_f, broken_g
 from trickle import confluence as conf
 from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
-from trickle.graph import INFINITY, TrickleGraph
+from trickle.graph import INFINITY, GraphError, TrickleGraph
 from trickle.pilings import make_stratum, normalize, push_syllable
 
 A, B, C = "[1,3]", "[1,2]", "[2,3]"
@@ -68,13 +67,6 @@ def test_resolve_matches_fused_check():
     assert report.pairs_checked == len(pairs)
 
 
-def test_sharding_partitions_the_check():
-    cs = dual_cactus_s3()
-    full = conf.check_critical_pairs(cs, 3, 2)
-    parts = [conf.check_critical_pairs(cs, 3, 2, shard=i, shards=3) for i in range(3)]
-    assert sum(p.pairs_checked for p in parts) == full.pairs_checked
-
-
 CORRUPT_BOUNDS = [
     (broken_d, (2, 1)), (broken_e, (2, 1)), (broken_e, (3, 2)),
     (broken_f, (2, 1)), (broken_f, (3, 2)),
@@ -110,16 +102,6 @@ def test_check_matches_normalize_of_the_successors(make, bounds):
     for limit in (1, 3, len(expected) + 1):
         report = conf.check_critical_pairs(g, *bounds, fail_limit=limit)
         assert report.failures == expected[:limit]
-    parts = [conf.check_critical_pairs(g, *bounds, fail_limit=len(expected) + 1,
-                                       shard=i, shards=3) for i in range(3)]
-    assert Counter(f for part in parts for f in part.failures) == Counter(expected)
-    for i, part in enumerate(parts):
-        # each shard finds its failures in pair order, and stops at its limit
-        found = set(part.failures)
-        assert part.failures == [f for f in expected if f in found]
-        for limit in (1, 3):
-            report = conf.check_critical_pairs(g, *bounds, fail_limit=limit, shard=i, shards=3)
-            assert report.failures == part.failures[:limit]
 
 
 @pytest.mark.parametrize("make, bounds", CORRUPT_BOUNDS)
@@ -130,14 +112,11 @@ def test_fused_check_fails_exactly_the_unresolved_pairs(make, bounds):
     report = conf.check_critical_pairs(g, *bounds, fail_limit=limit)
     assert [pair for pair, _, _ in report.failures] == unresolved
     assert all(left != right for _, left, right in report.failures)
-    parts = [conf.check_critical_pairs(g, *bounds, fail_limit=limit, shard=i, shards=3)
-             for i in range(3)]
-    assert Counter(f for part in parts for f in part.failures) == Counter(report.failures)
 
 
 def as_strata(reducer, ids):
     """The pilings behind interned piling ids, as tuples of strata."""
-    return [tuple(reducer._strata[u] for u in reducer._pilings[k]) for k in ids]
+    return [tuple(reducer.table.strata[u] for u in reducer._pilings[k]) for k in ids]
 
 
 def test_mult_row_reads_as_mult():
@@ -175,6 +154,21 @@ def test_vacuous_resolution():
                                     make_stratum(j3, [(B, 1)])),
                              ((B, 1), (B, 1)))
     assert conf.resolve(j3, pair)
+
+
+def test_resolve_normalizes_both_successors_on_a_lazy_graph(monkeypatch):
+    g = fixture("F")
+    x, y, z = (g.parse_vertex(t) for t in ("0", "1/2", "inf"))
+    U, V = make_stratum(g, [(x, 1)]), make_stratum(g, [(y, 2), (z, -1)])
+    pair = conf.CriticalPair("C3", (U, V), V)
+    left, right = conf._successors(g, pair)
+    assert left != right
+    seen = []
+    monkeypatch.setattr(conf, "normalize", lambda graph, p: seen.append(p) or normalize(graph, p))
+    assert conf.resolve(g, pair)
+    assert seen == [left, right]
+    with pytest.raises(GraphError, match="needs a finite graph"):
+        conf.check_critical_pairs(g)
 
 
 def test_random_piling_is_well_formed():

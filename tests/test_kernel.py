@@ -155,6 +155,23 @@ def test_unknown_vertex_error_is_the_name_step_error():
         normalize(g, ((("[1,2]", 1),), (("nope", 1),)))
 
 
+def test_exponents_enter_the_step_table_as_ints():
+    # the table keys strata by value: 2.0 or True would take the id of
+    # 2 or 1 and spell every later answer for it
+    g = fixture("RAAG-C6")
+    with pytest.raises(GraphError) as got:
+        normalize(g, ((("v1", 2.0),),))
+    assert str(got.value) == "non-integral exponent 2.0"
+    assert repr(normalize(g, ((("v1", 2),),))) == "((('v1', 2),),)"
+    g = fixture("RAAG-C6")
+    assert repr(from_syllables(g, [("v1", True)]).piling) == "((('v1', 1),),)"
+    assert repr(from_syllables(g, [("v1", 1)]).piling) == "((('v1', 1),),)"
+    long_exp = "9" * 2000
+    with pytest.raises(GraphError) as got:
+        from_syllables(g, [("v2", 1), ("v1", long_exp)])
+    assert str(got.value) == f"non-integral exponent {reprlib.repr(long_exp)}"
+
+
 def test_kernel_is_compiled_once_and_only_for_finite_graphs():
     g = fixture("KJ4")
     assert g.kernel() is g.kernel()
