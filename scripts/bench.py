@@ -22,9 +22,12 @@ batch on a fresh copy of the graph, the best of three more and a digest
 of its normal forms.  After a fixture's batches, its step table is
 recorded: strata, entries (strata plus moves, the count the table bound
 caps) and the memory it holds, traced by ``tracemalloc`` while the
-batches run once more on another fresh copy.  Last, the integer kernel
+batches run once more on another fresh copy.  Then the integer kernel
 of ``kjn_graph(n)`` is compiled for n = 4..6; each row holds the best
-time and the number of table entries.
+time and the number of table entries.  Last, the command line's cold
+start: ``python -m trickle.cli nf`` on GAR3 and ``f nf`` each run in
+COLD_STARTS fresh processes; each row holds the wall times in ms, not
+corrected, and their median.
 
     python3 scripts/bench.py --out BENCH_<n>.json
 """
@@ -35,8 +38,10 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -48,6 +53,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from trickle.confluence import check_critical_pairs, check_strategy_independence  # noqa: E402
 from trickle.families import fixture  # noqa: E402
 from trickle.graph import INFINITY, Kernel  # noqa: E402
+from trickle.jsonio import dump_graph  # noqa: E402
 from trickle.pilings import from_syllables, normalize  # noqa: E402
 from trickle.vjn import kjn_graph  # noqa: E402
 
@@ -60,6 +66,7 @@ SAMPLES, STRATEGIES, SAMPLE_SEED = 1000, 20, 100
 WORD_LETTERS = (50, 100, 200, 400, 800)
 WORDS = 10
 KERNEL_SIZES = (4, 5, 6)
+COLD_STARTS = 5
 
 
 def random_word(g, rng, length):
@@ -107,6 +114,19 @@ def table_size(g, fn):
     table = kernel.table
     return {"strata": len(table.strata), "entries": len(table.strata) + table.moves,
             "table_mb": round(held / 2 ** 20, 3)}
+
+
+def cold_start_ms(args):
+    """Wall ms of COLD_STARTS fresh ``python -m trickle.cli`` runs of ``args``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    times = []
+    for _ in range(COLD_STARTS):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "trickle.cli", *args], env=env, check=True,
+                       capture_output=True)
+        times.append(round((time.perf_counter() - t0) * 1000, 2))
+    return times
 
 
 def digest(value):
@@ -194,6 +214,17 @@ def main():
                         "entries": entries, "best_s": round(best, 6)})
         print(f"kjn({n}) {len(g.vertices):>6} vertices {best * 1000:>8.2f} ms compile", flush=True)
 
+    starts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gar3.json"
+        path.write_text(dump_graph(fixture("GAR3")))
+        for label, argv in (("nf GAR3", ["nf", str(path), "x y z"]), ("f nf", ["f", "nf", "0 inf"])):
+            times = cold_start_ms(argv)
+            starts.append({"command": label, "runs_ms": times,
+                           "median_ms": statistics.median(times)})
+            print(f"{label:8} {statistics.median(times):>8.1f} ms cold start "
+                  f"(median of {COLD_STARTS})", flush=True)
+
     record = {
         "commit": commit(),
         "host": f"{platform.platform()}, {os.cpu_count()} cpus, "
@@ -206,6 +237,7 @@ def main():
         "from_syllables": words,
         "step_tables": tables,
         "kernel_compile": kernels,
+        "cli_cold_start": starts,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 

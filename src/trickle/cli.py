@@ -3,19 +3,18 @@
 Exit codes: 0 for success or a positive answer, 1 for a negative answer
 (unequal words, non-member, failed confluence check), 2 for usage,
 schema, or validation errors.  Output is deterministic for fixed inputs.
+
+The parser is the standard library's ``argparse``, and each command
+imports the modules it needs in its own body: a call pays at start-up
+only for the command it runs, so ``nf`` and ``eq`` load ``graph``,
+``pilings`` and ``jsonio`` of this package and nothing else.  A usage
+error is one ``error:`` line on stderr with exit 2, like any bad input.
 """
 
 from __future__ import annotations
 
-import random
+import argparse
 import sys
-
-import click
-
-from . import confluence as conf
-from . import families, garside, jsonio, parabolic, syllabic, thompson, vjn
-from .graph import validate as validate_graph
-from .pilings import element_from_text, format_word, is_finite
 
 NEGATIVE = 1
 USAGE = 2
@@ -47,14 +46,16 @@ def _split_list(text):
 
 
 def _load(path, order_override=None):
-    g = jsonio.load_graph(path)
+    from .jsonio import load_graph
+
+    g = load_graph(path)
     if order_override:
         g = g.with_ranking(_split_list(order_override))
     return g
 
 
 def _fail(message):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(USAGE)
 
 
@@ -67,168 +68,142 @@ def _ranking_line(graph):
     return "ranking: " + " ".join(graph.format_vertex(v) for v in graph.vertices)
 
 
-class _ErrorBoundary(click.Group):
-    """Every command runs inside ``invoke``, nested groups included, so this
-    one handler turns any input error (``GraphError`` is a ``ValueError``)
-    into a single ``error:`` line and exit 2.  Other exceptions are bugs and
-    keep their traceback."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except ValueError as e:
-            _fail(e)
+def _answer(yes, positive, negative):
+    """Print the answer; its exit code is 0 when positive, NEGATIVE otherwise."""
+    print(positive if yes else negative)
+    return 0 if yes else NEGATIVE
 
 
-@click.group(cls=_ErrorBoundary)
-def main():
-    """Word problem, normal forms, and divisibility over trickle graphs."""
+# ----------------------------------------------------------------------
+# commands: each takes the parsed arguments and returns its exit code
 
 
-@main.command("validate")
-@click.argument("graph_path")
-def validate_cmd(graph_path):
+def validate_cmd(args):
     """Check the axioms of a graph file, printing witnesses."""
-    report = validate_graph(_load(graph_path))
-    click.echo(report.describe())
-    sys.exit(0 if report.ok else USAGE)
+    from .graph import validate
+
+    report = validate(_load(args.graph_path))
+    print(report.describe())
+    return 0 if report.ok else USAGE
 
 
-@main.command("nf")
-@click.argument("graph_path")
-@click.argument("word")
-@click.option("--order-override", default=None,
-              help="comma-separated vertex ranking to use for normal forms")
-def nf_cmd(graph_path, word, order_override):
+def nf_cmd(args):
     """Normal form of a word."""
-    g = _load(graph_path, order_override)
-    elt = element_from_text(g, word)
-    click.echo(_ranking_line(g))
-    click.echo("nf: " + (elt.nf_str() or "(identity)"))
+    from .pilings import element_from_text
+
+    g = _load(args.graph_path, args.order_override)
+    elt = element_from_text(g, args.word)
+    print(_ranking_line(g))
+    print("nf: " + (elt.nf_str() or "(identity)"))
 
 
-@main.command("eq")
-@click.argument("graph_path")
-@click.argument("word1")
-@click.argument("word2")
-def eq_cmd(graph_path, word1, word2):
+def eq_cmd(args):
     """Are two words equal in the group?"""
-    g = _load(graph_path)
-    same = element_from_text(g, word1) == element_from_text(g, word2)
-    click.echo("equal" if same else "not equal")
-    sys.exit(0 if same else NEGATIVE)
+    from .pilings import element_from_text
+
+    g = _load(args.graph_path)
+    same = element_from_text(g, args.word1) == element_from_text(g, args.word2)
+    return _answer(same, "equal", "not equal")
 
 
-@main.command("order")
-@click.argument("graph_path")
-def order_cmd(graph_path):
+def order_cmd(args):
     """Group order: finite with its size, or infinite with the reason."""
-    click.echo(str(is_finite(_load(graph_path))))
+    from .pilings import is_finite
+
+    print(is_finite(_load(args.graph_path)))
 
 
-@main.command("member")
-@click.argument("graph_path")
-@click.argument("word")
-@click.option("--vertices", required=True, help="comma-separated parabolic subset")
-def member_cmd(graph_path, word, vertices):
+def member_cmd(args):
     """Does the word lie in the standard parabolic subgroup?"""
-    g = _load(graph_path)
-    sub = parabolic.parabolic_subgraph(g, _split_list(vertices))
-    inside = parabolic.member(element_from_text(g, word), sub)
-    click.echo("member" if inside else "not a member")
-    sys.exit(0 if inside else NEGATIVE)
+    from .parabolic import member, parabolic_subgraph
+    from .pilings import element_from_text
+
+    g = _load(args.graph_path)
+    sub = parabolic_subgraph(g, _split_list(args.vertices))
+    inside = member(element_from_text(g, args.word), sub)
+    return _answer(inside, "member", "not a member")
 
 
-@main.command("tits-reduce")
-@click.argument("graph_path")
-@click.argument("word")
-def tits_reduce_cmd(graph_path, word):
+def tits_reduce_cmd(args):
     """Shortest syllabic word for the element of a syllabic word."""
-    g = _load(graph_path)
-    reduced = syllabic.syllabic_reduce(g, syllabic.parse_syllabic(g, word))
-    click.echo(format_word(g, reduced) or "(identity)")
+    from .pilings import format_word
+    from .syllabic import parse_syllabic, syllabic_reduce
+
+    g = _load(args.graph_path)
+    reduced = syllabic_reduce(g, parse_syllabic(g, args.word))
+    print(format_word(g, reduced) or "(identity)")
 
 
-@main.command("garside")
-@click.argument("graph_path")
-def garside_cmd(graph_path):
+def garside_cmd(args):
     """Garside data of a torsion-free graph."""
-    g = _load(graph_path)
+    from . import garside
+
+    g = _load(args.graph_path)
     if not garside.is_pregarside(g):
         _fail("the graph has finite labels; no positive-monoid structure")
     if not garside.is_garside(g):
-        click.echo("not Garside: the graph is not finite and complete")
-        sys.exit(NEGATIVE)
+        print("not Garside: the graph is not finite and complete")
+        return NEGATIVE
     delta = garside.garside_element(g)
     sf = garside.square_free(g)
-    click.echo("Garside")
-    click.echo(f"delta: {delta.nf_str()}")
-    click.echo(f"square-free elements: {len(sf)}")
+    print("Garside")
+    print(f"delta: {delta.nf_str()}")
+    print(f"square-free elements: {len(sf)}")
 
 
-@main.command("divisors")
-@click.argument("graph_path")
-@click.argument("word")
-@click.option("--side", type=click.Choice(["left", "right"]), default="left")
-def divisors_cmd(graph_path, word, side):
+def divisors_cmd(args):
     """Vertices dividing a positive element on the chosen side."""
-    g = _load(graph_path)
-    elt = element_from_text(g, word)
-    if side == "left":
-        divs = garside.atom_left_divisors(elt)
-    else:
-        divs = garside.atom_right_divisors(elt)
-    click.echo(" ".join(sorted(g.format_vertex(v) for v in divs)) or "(none)")
+    from .garside import atom_left_divisors, atom_right_divisors
+    from .pilings import element_from_text
+
+    g = _load(args.graph_path)
+    elt = element_from_text(g, args.word)
+    divs = (atom_left_divisors if args.side == "left" else atom_right_divisors)(elt)
+    print(" ".join(sorted(g.format_vertex(v) for v in divs)) or "(none)")
 
 
-@main.command("lcm")
-@click.argument("graph_path")
-@click.option("--atoms", required=True, help="comma-separated vertex set")
-def lcm_cmd(graph_path, atoms):
+def lcm_cmd(args):
     """Least common multiple of a set of vertices (finite complete graphs)."""
-    elt = garside.lcm_atoms(_load(graph_path), _split_list(atoms))
-    click.echo(elt.nf_str() or "(identity)")
+    from .garside import lcm_atoms
+
+    elt = lcm_atoms(_load(args.graph_path), _split_list(args.atoms))
+    print(elt.nf_str() or "(identity)")
 
 
-@main.command("confluence")
-@click.argument("graph_path")
-@click.option("--max-support", default=3, show_default=True)
-@click.option("--max-exp", default=2, show_default=True)
-@click.option("--samples", default=200, show_default=True,
-              help="random pilings for the strategy-independence check")
-@click.option("--seed", default=0, show_default=True)
-def confluence_cmd(graph_path, max_support, max_exp, samples, seed):
+def confluence_cmd(args):
     """Certify local confluence within bounds; nonzero exit on failure."""
-    if samples > MAX_SAMPLES:
-        _fail(f"--samples {samples} is above the bound {MAX_SAMPLES}")
-    g = _load(graph_path)
-    report = conf.check_critical_pairs(g, max_support, max_exp)
-    sampled = conf.check_strategy_independence(
-        g, random.Random(seed), pilings=samples,
-        max_support=max_support, max_exp=max_exp)
+    import random
+
+    from .confluence import check_critical_pairs, check_strategy_independence
+
+    if args.samples > MAX_SAMPLES:
+        _fail(f"--samples {args.samples} is above the bound {MAX_SAMPLES}")
+    g = _load(args.graph_path)
+    report = check_critical_pairs(g, args.max_support, args.max_exp)
+    sampled = check_strategy_independence(
+        g, random.Random(args.seed), pilings=args.samples,
+        max_support=args.max_support, max_exp=args.max_exp)
     report.samples_checked = sampled.samples_checked
     report.sample_failures = sampled.sample_failures
-    click.echo(report.describe())
-    sys.exit(0 if report.ok else NEGATIVE)
+    print(report.describe())
+    return 0 if report.ok else NEGATIVE
 
 
-@main.command("example")
-@click.argument("family", type=click.Choice(["raag", "racg", "gp", "cactus", "cstar", "gar3", "kjn"]))
-@click.option("--n", default=3, show_default=True)
-@click.option("--cycle", is_flag=True, help="use a cycle instead of a path (raag/racg)")
-@click.option("--graph", "base_path", default=None,
-              help="base graph file for gp (vertices, mu, edges only)")
-def example_cmd(family, n, cycle, base_path):
+def example_cmd(args):
     """Emit a stock graph as JSON on stdout."""
+    from . import families
+    from .jsonio import dump_graph, load_graph
+
+    family, n = args.family, args.n
     if family in MAX_N:
         _check_n(family, n)
     if family in ("raag", "racg"):
-        base = families.cycle_graph(n) if cycle else families.path_graph(n)
+        base = families.cycle_graph(n) if args.cycle else families.path_graph(n)
         g = (families.raag if family == "raag" else families.racg)(*base)
     elif family == "gp":
-        if base_path is None:
+        if args.base_path is None:
             _fail("gp needs --graph with a base file")
-        vertices, mu, edges, less, _ = jsonio.load_graph(base_path).tables()
+        vertices, mu, edges, less, _ = load_graph(args.base_path).tables()
         if less:
             _fail("gp base graph must not carry an order")
         g = families.graph_product(vertices, edges, mu)
@@ -237,49 +212,120 @@ def example_cmd(family, n, cycle, base_path):
     elif family == "cstar":
         g = families.dual_cactus_s3()
     elif family == "kjn":
-        g = vjn.kjn_graph(n)
+        g = families.kjn_graph(n)
     else:
         g = families.gar3()
-    click.echo(jsonio.dump_graph(g), nl=False)
+    sys.stdout.write(dump_graph(g))
 
 
-@main.group("vjn")
-def vjn_group():
-    """Virtual cactus words."""
-
-
-@vjn_group.command("eq")
-@click.option("--n", required=True, type=int)
-@click.argument("word1")
-@click.argument("word2")
-def vjn_eq_cmd(n, word1, word2):
+def vjn_eq_cmd(args):
     """Equality of two virtual cactus words (tokens x[p,q], r<i>)."""
-    _check_n("vjn", n)
-    same = vjn.vjn_equal(n, word1, word2)
-    click.echo("equal" if same else "not equal")
-    sys.exit(0 if same else NEGATIVE)
+    from .vjn import vjn_equal
+
+    _check_n("vjn", args.n)
+    return _answer(vjn_equal(args.n, args.word1, args.word2), "equal", "not equal")
 
 
-@main.group("f")
-def f_group():
-    """Words over the dyadic homeomorphism group (tokens inf, k, k/2**e)."""
+def f_nf_cmd(args):
+    """Normal form of a word over the dyadic homeomorphism group."""
+    from .pilings import element_from_text
+    from .thompson import f_graph
+
+    print(element_from_text(f_graph(), args.word).nf_str() or "(identity)")
 
 
-@f_group.command("nf")
-@click.argument("word")
-def f_nf_cmd(word):
-    click.echo(element_from_text(thompson.f_graph(), word).nf_str() or "(identity)")
+def f_eq_cmd(args):
+    """Are two words over the dyadic homeomorphism group equal?"""
+    from .pilings import element_from_text
+    from .thompson import f_graph
+
+    g = f_graph()
+    same = element_from_text(g, args.word1) == element_from_text(g, args.word2)
+    return _answer(same, "equal", "not equal")
 
 
-@f_group.command("eq")
-@click.argument("word1")
-@click.argument("word2")
-def f_eq_cmd(word1, word2):
-    g = thompson.f_graph()
-    same = element_from_text(g, word1) == element_from_text(g, word2)
-    click.echo("equal" if same else "not equal")
-    sys.exit(0 if same else NEGATIVE)
+# ----------------------------------------------------------------------
+# the parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line and exit 2.  Options are matched
+    whole, never by a prefix; the subcommand parsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        _fail(message)
+
+
+def _group(parser):
+    return parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+
+def _command(group, name, run, *positionals):
+    """Subcommand ``name`` running ``run``, whose docstring is its help."""
+    p = group.add_parser(name, help=run.__doc__, description=run.__doc__)
+    p.set_defaults(run=run)
+    for dest in positionals:
+        p.add_argument(dest)
+    return p
+
+
+def _parser():
+    default = "default: %(default)s"
+    main = _Parser(prog="trickle",
+                   description="Word problem, normal forms, and divisibility over trickle graphs.")
+    sub = _group(main)
+    _command(sub, "validate", validate_cmd, "graph_path")
+    _command(sub, "nf", nf_cmd, "graph_path", "word").add_argument(
+        "--order-override", help="comma-separated vertex ranking to use for normal forms")
+    _command(sub, "eq", eq_cmd, "graph_path", "word1", "word2")
+    _command(sub, "order", order_cmd, "graph_path")
+    _command(sub, "member", member_cmd, "graph_path", "word").add_argument(
+        "--vertices", required=True, help="comma-separated parabolic subset")
+    _command(sub, "tits-reduce", tits_reduce_cmd, "graph_path", "word")
+    _command(sub, "garside", garside_cmd, "graph_path")
+    _command(sub, "divisors", divisors_cmd, "graph_path", "word").add_argument(
+        "--side", choices=("left", "right"), default="left")
+    _command(sub, "lcm", lcm_cmd, "graph_path").add_argument(
+        "--atoms", required=True, help="comma-separated vertex set")
+    p = _command(sub, "confluence", confluence_cmd, "graph_path")
+    p.add_argument("--max-support", type=int, default=3, help=default)
+    p.add_argument("--max-exp", type=int, default=2, help=default)
+    p.add_argument("--samples", type=int, default=200, help="random pilings for the "
+                   "strategy-independence check (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help=default)
+    p = _command(sub, "example", example_cmd)
+    p.add_argument("family", choices=("raag", "racg", "gp", "cactus", "cstar", "gar3", "kjn"))
+    p.add_argument("--n", type=int, default=3, help=default)
+    p.add_argument("--cycle", action="store_true",
+                   help="use a cycle instead of a path (raag/racg)")
+    p.add_argument("--graph", dest="base_path",
+                   help="base graph file for gp (vertices, mu, edges only)")
+
+    about = "Virtual cactus words."
+    vjn = _group(sub.add_parser("vjn", help=about, description=about))
+    _command(vjn, "eq", vjn_eq_cmd, "word1", "word2").add_argument(
+        "--n", type=int, required=True)
+    about = "Words over the dyadic homeomorphism group (tokens inf, k, k/2**e)."
+    f = _group(sub.add_parser("f", help=about, description=about))
+    _command(f, "nf", f_nf_cmd, "word")
+    _command(f, "eq", f_eq_cmd, "word1", "word2")
+    return main
+
+
+def main(argv=None):
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.  Any input error (``GraphError`` is a ``ValueError``)
+    becomes a single ``error:`` line and exit 2; other exceptions are bugs
+    and keep their traceback."""
+    args = _parser().parse_args(argv)
+    try:
+        return args.run(args) or 0
+    except ValueError as e:
+        _fail(e)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

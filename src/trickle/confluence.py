@@ -287,22 +287,34 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
 
     Consumes the work units that ``enumerate_critical_pairs`` expands and
     reaches the verdicts of ``resolve``, but evaluates each unit on interned
-    strata: a unit's pushes are computed once, the C2 incoming strata
-    once per middle stratum, the C2 right-hand rows once per (V, U) and
-    the left-hand rows once per distinct left product, and only
-    memoized product rows remain in the hot loop.  A right-hand row
-    (U * V2) * W2 keeps its left association (the two associations
-    agree only where the system is confluent, which is what is being
-    checked): U * V2 is formed once per distinct V2 of the unit, and
-    the incoming pairs are grouped by V2 so that each group is one row
-    read.  Rows that differ are walked in incoming order, so failures
-    come in pair order.  A failure's witness is the irreducible form of
-    each of its two successors.  One step table, the reducer's, serves
-    the whole check.
+    strata: each push (U + g, or V less y) is interned once per check, the
+    C2 incoming strata once per middle stratum, the C2 right-hand rows once
+    per (V, U) and the left-hand rows once per distinct left product, and
+    only memoized product rows remain in the hot loop.  A right-hand row
+    (U * V2) * W2 keeps its left association (the two associations agree
+    only where the system is confluent, which is what is being checked):
+    U * V2 is formed once per distinct V2 of the unit, and the incoming
+    pairs are grouped by V2 so that each group is one row read.  Rows that
+    differ are walked in incoming order, so failures come in pair order.  A
+    failure's witness is the irreducible form of each of its two successors.
+    One step table, the reducer's, serves the whole check.
     """
     report = ConfluenceReport()
     r = _Reducer(graph)
     mult, mult_row, of = r.mult, r.mult_row, r.of_stratum
+    added, removed = {}, {}
+
+    def add(U, g):
+        i = added.get((U, g))
+        if i is None:
+            i = added[U, g] = of(stratum_add(graph, U, g))
+        return i
+
+    def remove(V, y):
+        i = removed.get((V, y))
+        if i is None:
+            i = removed[V, y] = of(stratum_remove(V, y))
+        return i
 
     def record(pair):
         report.failures.append((pair, *(normalize(graph, p) for p in _successors(graph, pair))))
@@ -321,8 +333,8 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
         elif u[0] == "C3":
             _, U, V, (y, gy), (z, gz) = u
             report.pairs_checked += 1
-            a = mult(of(stratum_add(graph, U, gy)), of(stratum_remove(V, y)))
-            b = mult(of(stratum_add(graph, U, gz)), of(stratum_remove(V, z)))
+            a = mult(add(U, gy), remove(V, y))
+            b = mult(add(U, gz), remove(V, z))
             if a != b:
                 if record(CriticalPair("C3", (U, V), (y, z))):
                     return report
@@ -331,15 +343,14 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
             # the incoming pairs grouped by V2 = V + gz, in first-seen order
             groups = {}
             for n, (W, z, gz) in enumerate(incoming):
-                groups.setdefault(of(stratum_add(graph, V, gz)), []).append(
-                    (n, of(W), of(stratum_remove(W, z))))
+                groups.setdefault(add(V, gz), []).append((n, of(W), remove(W, z)))
             order = [n for group in groups.values() for n, _, _ in group]
             iWs = [iW for group in groups.values() for _, iW, _ in group]
             v2s = list(groups)
             w2s = [[iW2 for _, _, iW2 in group] for group in groups.values()]
             right, rows = {}, {}
             for y, gy, U in heads:
-                a1 = mult(of(stratum_add(graph, U, gy)), of(stratum_remove(V, y)))
+                a1 = mult(add(U, gy), remove(V, y))
                 a = rows.get(a1)
                 if a is None:
                     a = rows[a1] = mult_row(a1, iWs)

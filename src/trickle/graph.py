@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import reprlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import inf, lcm
 
 INFINITY = inf
@@ -53,21 +53,28 @@ class GraphError(ValueError):
     """Malformed graph data or an out-of-domain query."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str          # "structure" or one of "a".."g"
-    witness: tuple
-    detail: str
+class Violation(namedtuple("Violation", "axiom witness detail")):
+    """A failed check; ``axiom`` is "structure" or one of "a".."g"."""
+
+    __slots__ = ()
 
     def __str__(self):
         what = "structural error" if self.axiom == "structure" else f"axiom ({self.axiom})"
         return f"{what} at {self.witness}: {self.detail}"
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
-    checked: int | None = None   # number of samples, for spot checks
+    def __init__(self, violations=None, checked=None):
+        self.violations = [] if violations is None else violations
+        self.checked = checked      # number of samples, for spot checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.violations, self.checked) == (other.violations, other.checked)
+
+    def __repr__(self):
+        return f"ValidationReport(violations={self.violations!r}, checked={self.checked!r})"
 
     @property
     def ok(self):

@@ -36,8 +36,7 @@ from __future__ import annotations
 import operator
 import reprlib
 import threading
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .graph import INFINITY, GraphError, TrickleGraph
 
@@ -167,7 +166,11 @@ def normalize(graph, piling) -> Piling:
     """
     kernel = graph.kernel()
     if kernel is None:
-        return _halves(graph, [U for U in piling if U], _step, defaultdict(dict))
+        strata = [U for U in piling if U]
+        if any(type(a) is not int for U in strata for _, a in U):
+            strata = [tuple([(v, a if type(a) is int else _exponent(a)) for v, a in U])
+                      for U in strata]
+        return _halves(graph, strata, _step, defaultdict(dict))
     index = kernel.index
     try:
         strata = [tuple([(index[v], a if type(a) is int else _exponent(a)) for v, a in U])
@@ -178,9 +181,9 @@ def normalize(graph, piling) -> Piling:
 
 
 def _exponent(a):
-    """A non-``int`` exponent as an int: the step table keys strata by value,
-    so ``True`` would share the id of ``1`` and spell later answers.  It runs
-    per syllable, so callers skip it for ints."""
+    """A non-``int`` exponent as an int, on finite and lazy graphs alike: the
+    step table keys strata by value, so ``True`` would share the id of ``1``
+    and spell later answers.  It runs per syllable, so callers skip it for ints."""
     try:
         return operator.index(a)
     except TypeError:
@@ -474,7 +477,7 @@ def from_syllables(graph, pairs) -> GroupElement:
         for v, k in pairs:
             if not graph.contains_vertex(v):
                 raise GraphError(f"unknown vertex {reprlib.repr(v)}")
-            c = canonical_exponent(graph, v, k)
+            c = canonical_exponent(graph, v, k if type(k) is int else _exponent(k))
             if c != 0:
                 strata.append(((v, c),))
         return GroupElement(graph, normalize(graph, tuple(strata)))
@@ -538,11 +541,10 @@ def element_from_text(graph, text: str) -> GroupElement:
 # finiteness
 
 
-@dataclass(frozen=True)
-class FinitenessAnswer:
-    finite: bool
-    order: int | None
-    reason: str
+class FinitenessAnswer(namedtuple("FinitenessAnswer", "finite order reason")):
+    """``order`` is the group's order, None when it is infinite."""
+
+    __slots__ = ()
 
     def __str__(self):
         return f"finite, order {self.order}" if self.finite else f"infinite ({self.reason})"

@@ -1,4 +1,6 @@
+import contextlib
 import decimal
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,6 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from trickle.cli import MAX_SAMPLES, main
 from trickle.confluence import MAX_STRATA
@@ -48,10 +49,21 @@ def paths(tmp_path_factory):
 LONG_ID = "v" * 3000
 
 
+def invoke(args):
+    """Run ``main`` in process: (exit code, stdout and stderr as written, in order)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = main(list(args))
+        except SystemExit as e:
+            code = e.code
+    return code or 0, out.getvalue()
+
+
 def run(*args, code=0):
-    result = CliRunner().invoke(main, list(args))
-    assert result.exit_code == code, result.output
-    return result.output
+    exit_code, output = invoke(args)
+    assert exit_code == code, output
+    return output
 
 
 def test_validate(paths):
@@ -133,10 +145,9 @@ def test_confluence_failure(tmp_path):
     from corrupt import broken_g
     path = tmp_path / "bad.json"
     path.write_text(dump_graph(broken_g()))
-    result = CliRunner().invoke(main, ["confluence", str(path), "--samples", "0",
-                                       "--max-exp", "1"])
-    assert result.exit_code == 1
-    assert "unresolved" in result.output
+    exit_code, output = invoke(["confluence", str(path), "--samples", "0", "--max-exp", "1"])
+    assert exit_code == 1
+    assert "unresolved" in output
 
 
 @pytest.mark.parametrize("graph, bound", [
@@ -271,6 +282,41 @@ def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert len(lines[0]) <= 300
+
+
+@pytest.mark.parametrize("args, message", [
+    (["nf", "gar3"], "the following arguments are required: word"),
+    (["order", "gar3", "extra"], "unrecognized arguments: extra"),
+    (["confluence", "gar3", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+    (["example", "raag", "--n", "3.5"], "argument --n: invalid int value: '3.5'"),
+    (["bogus"], "argument COMMAND: invalid choice: 'bogus'"),
+    (["nf", "gar3", "x", "--bogus"], "unrecognized arguments: --bogus"),
+    (["confluence", "gar3", "--samp", "5"], "unrecognized arguments: --samp 5"),
+    (["divisors", "gar3", "x", "--side", "up"], "argument --side: invalid choice: 'up'"),
+    (["example", "nope"], "argument family: invalid choice: 'nope'"),
+    ([], "the following arguments are required: COMMAND"),
+], ids=["missing-argument", "extra-argument", "samples-not-an-int", "n-not-an-int",
+        "unknown-command", "unknown-option", "abbreviated-option", "bad-side",
+        "bad-family", "no-command"])
+def test_usage_error_is_one_error_line_and_exit_2(paths, args, message):
+    code, output = invoke([paths.get(a, a) for a in args])
+    assert code == 2
+    assert len(output.splitlines()) == 1 and output.startswith(f"error: {message}"), output
+
+
+def test_usage_error_in_a_fresh_interpreter():
+    result = _python("-m", "trickle.cli", "nf")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: the following arguments are required: graph_path, word\n"
+
+
+def test_import_loads_no_command_module():
+    # -S: a site hook may import modules of its own; the package must not
+    code = ("import sys, trickle.cli; print(' '.join(sorted(m for m in sys.modules if m in "
+            "('click', 'dataclasses', 'inspect', 'typing') or m.startswith('trickle'))))")
+    result = _python("-S", "-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["trickle", "trickle.cli", "trickle.graph", "trickle.pilings"]
 
 
 @pytest.mark.parametrize("graph", ["long-complete", "long-missing"])

@@ -17,6 +17,7 @@ import pytest
 
 from corrupt import BROKEN
 from trickle.confluence import random_piling
+from trickle.dyadic import Dyadic
 from trickle.families import FIXTURES, fixture
 from trickle.graph import INFINITY, GraphError, TrickleGraph
 from trickle import pilings
@@ -170,6 +171,24 @@ def test_exponents_enter_the_step_table_as_ints():
     with pytest.raises(GraphError) as got:
         from_syllables(g, [("v2", 1), ("v1", long_exp)])
     assert str(got.value) == f"non-integral exponent {reprlib.repr(long_exp)}"
+
+
+@pytest.mark.parametrize("name", ["RAAG-C6", "F", "QUANDLE"])
+def test_lazy_and_finite_routes_read_exponents_alike(name):
+    # a non-integral exponent is one GraphError and True is read as 1,
+    # whether the graph runs on a step table or lazily
+    g = fixture(name)
+    v = g.vertices[0] if g.finite else Dyadic(0)
+    for bad in (2.0, "9" * 2000):
+        message = f"non-integral exponent {reprlib.repr(bad)}"
+        with pytest.raises(GraphError) as got:
+            from_syllables(g, [(v, 1), (v, bad)])
+        assert str(got.value) == message
+        with pytest.raises(GraphError) as got:
+            normalize(g, (((v, 1),), ((v, bad),)))
+        assert str(got.value) == message
+    for piling in (normalize(g, (((v, True),),)), from_syllables(g, [(v, True)]).piling):
+        assert piling == (((v, 1),),) and type(piling[0][0][1]) is int
 
 
 def test_kernel_is_compiled_once_and_only_for_finite_graphs():
