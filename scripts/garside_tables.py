@@ -53,7 +53,11 @@ def main():
 
     print("atom lcm table:")
     for a, b in itertools.combinations(g.vertices, 2):
-        lcm = gar.lcm_atoms(g, {a, b})
+        try:
+            lcm = gar.lcm_atoms(g, {a, b})
+        except GraphError as e:     # only a graph that breaks an axiom
+            print(f"  {fmt(a)} v {fmt(b)}: {e}")
+            continue
         brute = gar.lcm_bruteforce(from_syllables(g, [(a, 1)]),
                                    from_syllables(g, [(b, 1)]),
                                    len(g.vertices))

@@ -55,7 +55,10 @@ def _load(path, order_override=None):
 
 
 def _fail(message):
-    print(f"error: {message}", file=sys.stderr)
+    """One ``error:`` line, past 200 characters cut in the middle as reprlib cuts."""
+    text = str(message)
+    print(f"error: {text if len(text) <= 200 else text[:98] + '...' + text[-99:]}",
+          file=sys.stderr)
     sys.exit(USAGE)
 
 
@@ -144,11 +147,9 @@ def garside_cmd(args):
     if not garside.is_garside(g):
         print("not Garside: the graph is not finite and complete")
         return NEGATIVE
-    delta = garside.garside_element(g)
-    sf = garside.square_free(g)
     print("Garside")
-    print(f"delta: {delta.nf_str()}")
-    print(f"square-free elements: {len(sf)}")
+    print(f"delta: {garside.garside_element(g).nf_str()}")
+    print(f"square-free elements: {2 ** len(g.vertices)}")
 
 
 def divisors_cmd(args):
@@ -249,11 +250,14 @@ def f_eq_cmd(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is one ``error:`` line and exit 2.  Options are matched
-    whole, never by a prefix; the subcommand parsers share the class."""
+    """A usage error is one ``error:`` line and exit 2.  Options match whole,
+    not by prefix, and -1/2 is a word; the subcommand parsers share the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def _parse_optional(self, arg):
+        return None if arg[:1] == "-" and arg[1:2].isdigit() else super()._parse_optional(arg)
 
     def error(self, message):
         _fail(message)

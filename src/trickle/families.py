@@ -13,6 +13,8 @@ affine_quandle_graph
 
 from __future__ import annotations
 
+import reprlib
+
 from .dyadic import Dyadic
 from .graph import INFINITY, GraphError, TrickleGraph
 from .thompson import f_graph
@@ -72,13 +74,8 @@ def cactus(n: int) -> TrickleGraph:
     edges = [(ids[a], ids[b]) for i, a in enumerate(ivals) for b in ivals[i + 1:]
              if nested(a, b) or nested(b, a) or disjoint(a, b)]
     less = [(ids[a], ids[b]) for a in ivals for b in ivals if nested(a, b)]
-    phi = {}
-    for p, q in ivals:
-        table = {}
-        for m, r in ivals:
-            if nested((m, r), (p, q)):
-                table[ids[m, r]] = ids[p + q - r, p + q - m]
-        phi[ids[p, q]] = table
+    phi = {ids[p, q]: {ids[m, r]: ids[p + q - r, p + q - m]
+                       for m, r in ivals if nested((m, r), (p, q))} for p, q in ivals}
     return TrickleGraph.build([ids[iv] for iv in ivals], 2, edges, less, phi,
                               name=f"cactus({n})")
 
@@ -165,4 +162,4 @@ def fixture(name: str) -> TrickleGraph:
         return FIXTURES[key]()
     if key in LAZY_FIXTURES:
         return LAZY_FIXTURES[key]()
-    raise GraphError(f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES) + sorted(LAZY_FIXTURES))}")
+    raise GraphError(f"unknown fixture {reprlib.repr(name)}; known: {', '.join(sorted(FIXTURES) + sorted(LAZY_FIXTURES))}")

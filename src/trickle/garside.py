@@ -79,9 +79,7 @@ def atom_left_divisors(g: GroupElement) -> frozenset:
     vertex.
     """
     _as_positive(g)
-    if not g.piling:
-        return frozenset()
-    U = g.piling[0]
+    U = g.piling[0] if g.piling else ()
     return frozenset(stratum_extract(g.graph, U, s)[0] for s in U)
 
 
@@ -96,14 +94,11 @@ def _require_finite_complete(graph):
 
 
 def square_free(graph) -> list:
-    """All descending products of distinct vertices, one per subset."""
+    """All 2**n descending products of distinct vertices: an oracle, off user paths."""
     _require_finite_complete(graph)
     desc = graph.vertices[::-1]
-    out = []
-    for r in range(len(desc) + 1):
-        for combo in itertools.combinations(desc, r):
-            out.append(from_syllables(graph, [(v, 1) for v in combo]))
-    return out
+    return [from_syllables(graph, [(v, 1) for v in combo])
+            for r in range(len(desc) + 1) for combo in itertools.combinations(desc, r)]
 
 
 def garside_element(graph) -> GroupElement:
@@ -120,10 +115,18 @@ def lcm_atoms(graph, X) -> GroupElement:
             raise GraphError(f"unknown vertex {reprlib.repr(v)}")
     _require_finite_complete(graph)
     X = frozenset(X)
-    for g in square_free(graph):
-        if atom_left_divisors(g) == X:
-            return g
-    raise GraphError(f"no square-free element has atom divisor set {sorted(map(str, X))}")
+    # The atoms of Delta_S, the descending product of S, are its top x and phi_x
+    # of those of Delta_{S-x}, which axioms (c) and (d) keep ranked below x: so x
+    # tops X, and S-x has the atoms phi_x^-1 of the rest.
+    S, rest = [], set(X)
+    while rest:
+        x = max(rest, key=graph.sort_key)
+        S.append(x)
+        rest = {graph.phi_inv(x, z) for z in rest if z != x}
+    g = from_syllables(graph, [(v, 1) for v in sorted(S, key=graph.sort_key, reverse=True)])
+    if atom_left_divisors(g) != X:
+        raise GraphError(f"no square-free element has atom divisor set {sorted(map(str, X))}")
+    return g
 
 
 def positive_elements_of_length(graph, length: int) -> set:

@@ -413,14 +413,18 @@ class TrickleGraph:
             try:
                 cycle, i = self._cycles[x][y]
             except KeyError:
-                raise GraphError(self._phi_bad.get(x) or f"{reprlib.repr(y)} is not in "
-                                 f"star({reprlib.repr(x)})") from None
+                raise self.phi_error(x, y) from None
             return cycle[(i + a) % len(cycle)]
         if x == y:
             return y
         if abs(a) > LAZY_POWER_CAP:
             raise GraphError(f"phi power {a} exceeds the cap {LAZY_POWER_CAP} on a lazy graph")
         return self._phi_pow_fn(x, a, y)
+
+    def phi_error(self, x, y) -> GraphError:
+        """Why a finite graph's phi_x has no image at y: an unsound map or y off the star."""
+        return GraphError(self._phi_bad.get(x) or f"{reprlib.repr(y)} is not in "
+                          f"star({reprlib.repr(x)})")
 
     def sort_key(self, v):
         """Key whose descending order is the normal-form order on vertices."""
@@ -447,12 +451,8 @@ class TrickleGraph:
         edges = [(x, y) for x in self.vertices
                  for y in sorted(self._adj[x], key=rank) if rank(y) > rank(x)]
         less = [(x, y) for x in self.vertices for y in sorted(self._up[x], key=rank)]
-        phi = {}
-        for x in self.vertices:
-            moved = {y: img for y, img in self._phi[x].items() if img != y}
-            if moved:
-                phi[x] = moved
-        return self.vertices, dict(self._mu), edges, less, phi
+        phi = {x: {y: img for y, img in self._phi[x].items() if img != y} for x in self.vertices}
+        return self.vertices, dict(self._mu), edges, less, {x: m for x, m in phi.items() if m}
 
     def with_ranking(self, ranking):
         """Same graph with an explicit normal-form ranking."""

@@ -23,11 +23,8 @@ from .pilings import GroupElement
 
 
 def _subset_stable(graph, X, x) -> bool:
-    sub_star = [y for y in X if y == x or graph.edge(x, y)]
-    for y in sub_star:
-        if graph.phi(x, y) not in X or graph.phi_inv(x, y) not in X:
-            return False
-    return True
+    return all(graph.phi(x, y) in X and graph.phi_inv(x, y) in X
+               for y in X if y == x or graph.edge(x, y))
 
 
 def is_parabolic(graph, X) -> bool:

@@ -33,6 +33,7 @@ fills the first time the graph meets the pair.  Lazy graphs and
 
 from __future__ import annotations
 
+import math
 import operator
 import reprlib
 import threading
@@ -307,8 +308,7 @@ def _kernel_step(kernel, U, V):
     sorted by descending id, which is descending rank.  So the move at
     every pair is the move of ``_step``.  Where ``_step`` would raise (an
     unsound star map, a vertex outside a star: only broken graphs get
-    there), the pair goes to ``_step`` on the names, which raises the
-    same error.
+    there), this raises the same error through ``_phi_error``.
     """
     adj, pw, mu = kernel.adj, kernel.pw, kernel.mu
     supp = 0
@@ -319,19 +319,21 @@ def _kernel_step(kernel, U, V):
             x, a = V[j]
             p = pw[x]
             if p is None:
-                return _named_step(kernel, U, V)
+                raise _phi_error(kernel, x, y)
             c = p.get(y)
             if c is not None:
                 y = c[0][(c[1] + a) % len(c[0])]
             elif y != x and not adj[x] >> y & 1:
-                return _named_step(kernel, U, V)
+                raise _phi_error(kernel, x, y)
         bit = 1 << y
         merged = supp & bit
         if not merged and supp & ~adj[y]:
             continue
         p = pw[y]
         if p is None and supp != bit or merged and supp & ~adj[y] != bit:
-            return _named_step(kernel, U, V)
+            # ``_stratum_add`` pulls U back through phi_y and fails at the first such x
+            raise _phi_error(kernel, y, next(x for x, _ in U if x != y and (
+                p is None or not adj[y] >> x & 1)))
         out = []
         for x, a in U:
             if x == y:
@@ -353,11 +355,10 @@ def _kernel_step(kernel, U, V):
     return None
 
 
-def _named_step(kernel, U, V):
-    """``_step`` on the vertex names behind the id strata U and V, back in ids."""
-    verts, index = kernel.graph.vertices, kernel.index
-    t = _step(kernel.graph, *[tuple([(verts[x], a) for x, a in S]) for S in (U, V)])
-    return t and tuple([tuple([(index[v], a) for v, a in W]) for W in t])
+def _phi_error(kernel, x, y):
+    """The error ``graph.phi_pow`` raises at the names of ids x and y."""
+    verts = kernel.graph.vertices
+    return kernel.graph.phi_error(verts[x], verts[y])
 
 
 _UNSEEN = object()
@@ -526,11 +527,8 @@ def parse_word(graph, text: str):
 
 def format_word(graph, syllables) -> str:
     """Render syllables as tokens v or v^k, one token per syllable."""
-    toks = []
-    for v, a in syllables:
-        name = graph.format_vertex(v)
-        toks.append(name if a == 1 else f"{name}^{a}")
-    return " ".join(toks)
+    fmt = graph.format_vertex
+    return " ".join([fmt(v) if a == 1 else f"{fmt(v)}^{a}" for v, a in syllables])
 
 
 def element_from_text(graph, text: str) -> GroupElement:
@@ -565,7 +563,5 @@ def is_finite(graph) -> FinitenessAnswer:
     infinite = [v for v in graph.vertices if graph.mu(v) == INFINITY]
     if infinite:
         return FinitenessAnswer(False, None, f"mu({reprlib.repr(infinite[0])}) is infinite")
-    order = 1
-    for v in graph.vertices:
-        order *= graph.mu(v)
-    return FinitenessAnswer(True, order, "complete with finite labels")
+    return FinitenessAnswer(True, math.prod(map(graph.mu, graph.vertices)),
+                            "complete with finite labels")

@@ -1,6 +1,7 @@
 import contextlib
 import decimal
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from trickle.cli import MAX_SAMPLES, main
 from trickle.confluence import MAX_STRATA
 from trickle.dyadic import MAX_PARSED_EXP
-from trickle.families import cactus, dual_cactus_s3, gar3
+from trickle.families import cactus, dual_cactus_s3, gar3, raag
 from trickle.graph import TrickleGraph
 from trickle.jsonio import dump_graph
 
@@ -134,6 +135,29 @@ def test_lcm(paths):
     run("lcm", paths["gar3"], "--atoms", "x,w", code=2)
 
 
+K22 = [f"v{i}" for i in range(1, 23)]
+
+
+def test_garside_and_lcm_on_a_22_vertex_complete_raag(tmp_path):
+    # 2**22 square-free elements: the lcm is built and the count is 2**n,
+    # so each command answers at once instead of scanning them
+    path = tmp_path / "k22.json"
+    path.write_text(dump_graph(raag(K22, list(itertools.combinations(K22, 2)))))
+    result = _python("-m", "trickle.cli", "lcm", str(path), "--atoms", ",".join(K22),
+                     timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert sorted(result.stdout.split()) == sorted(K22)
+    result = _python("-m", "trickle.cli", "garside", str(path), timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[2] == f"square-free elements: {2 ** 22}"
+
+
+def test_f_words_may_start_with_a_minus_sign_without_the_separator():
+    assert run("f", "nf", "-1/2").strip() == "-1/2"
+    assert run("f", "eq", "0", "-1/2", code=1).strip() == "not equal"
+    assert run("f", "eq", "-1/2^-3", "--", "-1/2^-3").strip() == "equal"
+
+
 def test_confluence(paths):
     out = run("confluence", paths["j3"], "--samples", "50")
     assert "unresolved: 0" in out
@@ -197,13 +221,13 @@ def test_confluence_rejects_negative_samples(paths, option):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _python(*args, **env):
+def _python(*args, timeout=60, **env):
     """Run a fresh interpreter on this checkout's sources, as a user would;
     a run past the timeout fails the test instead of hanging it."""
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=60)
+                          timeout=timeout)
 
 
 @pytest.mark.parametrize("option", [["--samples", "-1"], ["--strategies", "-2"]],
@@ -248,6 +272,8 @@ BAD_GRAPHS = {
     "deep-edge-entry": b'{"vertices": [], "edges": [' + b"[" * 960 + b"]" * 960 + b"]}",
 }
 
+SWEEP = str(ROOT / "scripts" / "confluence_sweep.py")
+
 # 2**15000 in decimal, 4,516 digits: past int()'s 4300-digit limit
 HUGE_DENOMINATOR = str(decimal.Context(prec=5000).power(2, 15000))
 
@@ -267,16 +293,21 @@ HUGE_DENOMINATOR = str(decimal.Context(prec=5000).power(2, 15000))
     ["f", "nf", "--", "-1/2 0^2000000"],
     ["f", "nf", "--", "-1/2**20000 inf^-1"],
     ["divisors", "long-complete", LONG_ID + "^-1"],
+    ["example", LONG_ID],
+    ["nf", "gar3", "x", LONG_ID],
+    [SWEEP, LONG_ID],
 ], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "f-nf-huge-denominator",
         "eq-unknown-token", "example-raag-n-0", "example-racg-cycle-n-negative",
         "example-kjn-n-7", "vjn-eq-n-7", "example-cactus-n-200", "example-raag-n-10000",
-        "f-nf-power-past-the-cap", "f-nf-huge-numerator", "divisors-not-positive-long-id"])
+        "f-nf-power-past-the-cap", "f-nf-huge-numerator", "divisors-not-positive-long-id",
+        "example-unknown-family-long", "nf-extra-argument-long", "sweep-unknown-fixture-long"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     files = dict(paths)
     for name in BAD_GRAPHS.keys() & set(args):
         files[name] = tmp_path / "bad.json"
         files[name].write_bytes(BAD_GRAPHS[name])
-    result = _python("-m", "trickle.cli", *(str(files.get(a, a)) for a in args))
+    program = [] if args[0] == SWEEP else ["-m", "trickle.cli"]
+    result = _python(*program, *(str(files.get(a, a)) for a in args))
     assert result.returncode == 2
     assert "Traceback" not in result.stdout + result.stderr
     lines = result.stderr.splitlines()

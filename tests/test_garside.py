@@ -1,9 +1,10 @@
 import itertools
 import random
+import re
 
 import pytest
 
-from corrupt import broken_g
+from corrupt import broken_d, broken_g
 from trickle import garside as gar
 from trickle.families import cactus, fixture, gar3, raag, path_graph
 from trickle.graph import GraphError, INFINITY, TrickleGraph
@@ -154,6 +155,36 @@ def test_lcm_agreement_on_random_complete_graphs():
         for a, b in itertools.combinations(sorted(atoms), 2):
             assert (gar.lcm_atoms(g, {a, b})
                     == gar.lcm_bruteforce(atoms[a], atoms[b], len(atoms)))
+
+
+def _square_free_scan(graph):
+    """Each square-free element by its atom left divisors, from the 2**n scan."""
+    return {gar.atom_left_divisors(e): e for e in gar.square_free(graph)}
+
+
+def test_lcm_atoms_matches_the_square_free_scan(g3):
+    # every subset of GAR3 and of 420 random complete graphs of 1 to 6
+    # vertices: 3,214 subsets at this seed
+    rng = random.Random(20)
+    graphs = [g3] + [_random_complete_torsion_free_graph(rng, max_n=6) for _ in range(420)]
+    subsets = 0
+    for g in graphs:
+        scan = _square_free_scan(g)
+        assert len(scan) == 2 ** len(g.vertices)
+        for r in range(len(g.vertices) + 1):
+            for X in itertools.combinations(g.vertices, r):
+                assert gar.lcm_atoms(g, X) == scan[frozenset(X)], (g.vertices, X)
+                subsets += 1
+    assert subsets > 3000
+
+
+def test_lcm_atoms_refuses_a_graph_breaking_axiom_d():
+    # phi_x swaps the incomparable y and z, so the candidate z x for {x, z}
+    # normalizes to y x, whose atoms are {x, y}: the post-check refuses it
+    g = broken_d()
+    with pytest.raises(GraphError, match=re.escape(
+            "no square-free element has atom divisor set ['x', 'z']")):
+        gar.lcm_atoms(g, {"x", "z"})
 
 
 def test_lcm_on_a_path():
