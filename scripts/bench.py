@@ -19,10 +19,16 @@ hold the sample count, the verdict and the time.  Next,
 ``from_syllables`` runs on batches of ten words at the lengths of the
 perfbench ``wordproblem`` workload; each row holds the cold time of the
 batch on a fresh copy of the graph, the best of three more and a digest
-of its normal forms.  After a fixture's batches, its step table is
-recorded: strata, entries (strata plus moves, the count the table bound
-caps) and the memory it holds, traced by ``tracemalloc`` while the
-batches run once more on another fresh copy.  Then the integer kernel
+of its normal forms.  Then each fixture's step table is filled, on a
+fresh copy of the graph, with seeded words of TABLE_LETTERS letters until
+the bound replaces it or TABLE_WORDS words have run; its row holds the
+words, strata, moves and weighted entries (what the table bound caps) of
+the table just before, whether it reached the bound, and the most memory
+it held, traced by ``tracemalloc``.  Then one in-process run of two
+passes over the blocks of the perfbench ``wordproblem`` workload at this
+seed, the first on empty step tables: per graph and pass, the fresh pair
+searches (``_kernel_step`` calls), the tables replaced and the weighted
+entries at the end of the pass.  Then the integer kernel
 of ``kjn_graph(n)`` is compiled for n = 4..6; each row holds the best
 time and the number of table entries.  Last, the command line's cold
 start: ``python -m trickle.cli nf`` on GAR3 and ``f nf`` each run in
@@ -34,6 +40,7 @@ corrected, and their median.
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -44,12 +51,15 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 # time the checkout this script lives in, not an installed copy
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from trickle import pilings  # noqa: E402
 from trickle.confluence import check_critical_pairs, check_strategy_independence  # noqa: E402
 from trickle.families import fixture  # noqa: E402
 from trickle.graph import INFINITY, Kernel  # noqa: E402
@@ -65,6 +75,9 @@ PAIR_BOUNDS = (3, 2)
 SAMPLES, STRATEGIES, SAMPLE_SEED = 1000, 20, 100
 WORD_LETTERS = (50, 100, 200, 400, 800)
 WORDS = 10
+TABLE_FIXTURES = FIXTURES + ("GAR3",)
+TABLE_WORDS, TABLE_LETTERS = 300, 200
+WORDPROBLEM_PASSES = 2
 KERNEL_SIZES = (4, 5, 6)
 COLD_STARTS = 5
 
@@ -99,21 +112,81 @@ def cold_time(g, fn):
     return time.perf_counter() - t0, fresh
 
 
-def table_size(g, fn):
-    """Strata, entries and traced MB of the step table ``fn`` leaves on a
-    fresh copy of ``g``."""
-    fresh = g.with_ranking(g.vertices)
-    kernel = fresh.kernel()
+def weighted_entries(table):
+    """What the step table bound caps: strata at their weight, moves at one."""
+    return pilings._STRATUM_WEIGHT * len(table.strata) + table.moves
+
+
+def table_at_bound(name, seed):
+    """Fill the step table of a fresh copy of fixture ``name`` with seeded
+    words until the bound replaces it or TABLE_WORDS words have run."""
+    g = fixture(name)
+    g = g.with_ranking(g.vertices)     # kjn_graph's graphs are shared
+    kernel = g.kernel()
+    rng = random.Random(f"{seed}:table:{name}")
+    words = [[s for (s,) in random_word(g, rng, TABLE_LETTERS)] for _ in range(TABLE_WORDS)]
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn(fresh)
-        held = tracemalloc.get_traced_memory()[0] - before
+        before, most = tracemalloc.get_traced_memory()[0], 0
+        for run, w in enumerate(words):
+            table = kernel.table
+            from_syllables(g, w)
+            if table is not None and kernel.table is not table:
+                break
+            most = max(most, tracemalloc.get_traced_memory()[0] - before)
+        else:
+            run, table = len(words), kernel.table
     finally:
         tracemalloc.stop()
-    table = kernel.table
-    return {"strata": len(table.strata), "entries": len(table.strata) + table.moves,
-            "table_mb": round(held / 2 ** 20, 3)}
+    return {"fixture": name, "words": run, "strata": len(table.strata), "moves": table.moves,
+            "entries": weighted_entries(table), "reached_bound": run < len(words),
+            "table_mb": round(most / 2 ** 20, 3)}
+
+
+def wordproblem_passes(seed):
+    """Fresh pair searches, tables replaced and weighted entries per graph and
+    pass over the perfbench ``wordproblem`` blocks, run in this process."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+    from workloads import BUILDERS
+    lib = SimpleNamespace(**{m: importlib.import_module(f"trickle.{m}") for m in run.MODULES})
+    real, kernels, retired, replaced = pilings._table, set(), Counter(), Counter()
+
+    def counting_table(kernel):
+        if kernel not in kernels:      # kjn_graph's graphs are shared: start them empty too
+            kernels.add(kernel)
+            kernel.table = None
+        old = kernel.table
+        table = real(kernel)
+        if old is not None and table is not old:
+            retired[kernel] += old.moves
+            replaced[kernel] += 1
+        return table
+
+    out = []
+    pilings._table = counting_table
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            blocks = BUILDERS["wordproblem"](lib, seed, Path(tmp)).blocks
+            for n in range(WORDPROBLEM_PASSES):
+                start = {k: k.table.moves for k in kernels}
+                retired.clear()
+                replaced.clear()
+                for block in blocks:
+                    for op in block:
+                        op.fn()
+                rows = {}
+                for k in kernels:
+                    row = rows.setdefault(k.graph.name, {"pass": n, "graph": k.graph.name,
+                                                         "fresh_searches": 0, "replaced": 0,
+                                                         "entries": 0})
+                    row["fresh_searches"] += retired[k] + k.table.moves - start.get(k, 0)
+                    row["replaced"] += replaced[k]
+                    row["entries"] += weighted_entries(k.table)
+                out += [rows[name] for name in sorted(rows)]
+    finally:
+        pilings._table = real
+    return out
 
 
 def cold_start_ms(args):
@@ -185,14 +258,12 @@ def main():
                         "ok": report.ok, "seconds": round(seconds, 3)})
         print(f"{name:8} {report.samples_checked:>9} samples {seconds:>6.2f} s", flush=True)
 
-    words, tables = [], []
+    words = []
     for name in FIXTURES:
         g = fixture(name)
-        batches = []
         for n in WORD_LETTERS:
             rng = random.Random(f"{args.seed}:words:{name}:{n}")
             batch = [[s for (s,) in random_word(g, rng, n)] for _ in range(WORDS)]
-            batches.append(batch)
             cold, fresh = cold_time(g, lambda h: [from_syllables(h, w) for w in batch])
             best, nfs = best_time(lambda: [from_syllables(fresh, w).piling for w in batch])
             words.append({"fixture": name, "letters": n, "words": WORDS,
@@ -200,10 +271,20 @@ def main():
                           "nf_digest": digest(nfs)})
             print(f"{name:8} {n:>6} {cold * 1000:>10.2f} cold {best * 1000:>10.2f} ms "
                   f"from_syllables x{WORDS}", flush=True)
-        size = table_size(g, lambda h: [from_syllables(h, w) for b in batches for w in b])
-        tables.append({"fixture": name, **size})
-        print(f"{name:8} table {size['strata']:>6} strata {size['entries']:>7} entries "
-              f"{size['table_mb']:>7.3f} MB", flush=True)
+
+    tables = []
+    for name in TABLE_FIXTURES:
+        row = table_at_bound(name, args.seed)
+        tables.append(row)
+        print(f"{name:8} table {row['strata']:>6} strata {row['moves']:>7} moves "
+              f"{row['entries']:>7} entries {row['table_mb']:>7.3f} MB "
+              f"{'at the bound' if row['reached_bound'] else 'below the bound'}", flush=True)
+
+    passes = wordproblem_passes(args.seed)
+    for n in range(WORDPROBLEM_PASSES):
+        rows = [r for r in passes if r["pass"] == n]
+        print(f"wordproblem pass {n}: {sum(r['fresh_searches'] for r in rows):>7} fresh searches, "
+              f"{sum(r['replaced'] for r in rows):>3} tables replaced", flush=True)
 
     kernels = []
     for n in KERNEL_SIZES:
@@ -236,6 +317,7 @@ def main():
         "strategy_independence": samples,
         "from_syllables": words,
         "step_tables": tables,
+        "wordproblem_passes": passes,
         "kernel_compile": kernels,
         "cli_cold_start": starts,
     }

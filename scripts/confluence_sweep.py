@@ -8,19 +8,17 @@ asked (bounds and sample counts are flags); ``--samples`` has the bound
 of ``trickle confluence --samples``.
 """
 
-import argparse
 import random
-import sys
 import time
 
 from trickle import confluence as conf
-from trickle.cli import MAX_SAMPLES
+from trickle.cli import MAX_SAMPLES, _fail, _Parser
 from trickle.families import FIXTURES, fixture
 from trickle.graph import GraphError
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("names", nargs="*", default=[], help="fixture names (default: all)")
     ap.add_argument("--max-support", type=int, default=3)
     ap.add_argument("--max-exp", type=int, default=2)
@@ -29,17 +27,17 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     if args.samples > MAX_SAMPLES:
-        print(f"error: --samples {args.samples} is above the bound {MAX_SAMPLES}",
-              file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"--samples {args.samples} is above the bound {MAX_SAMPLES}")
+    try:
+        graphs = [(name, fixture(name)) for name in args.names or sorted(FIXTURES)]
+    except GraphError as e:
+        _fail(e)
 
-    names = args.names or sorted(FIXTURES)
     print(f"{'fixture':10} {'pairs':>10} {'unresolved':>10} {'pairs_s':>8} {'samples':>8} "
           f"{'divergent':>9} {'samples_s':>9}")
     bad = 0
-    for name in names:
+    for name, g in graphs:
         try:
-            g = fixture(name)
             t0 = time.perf_counter()
             pairs = conf.check_critical_pairs(g, args.max_support, args.max_exp)
             t1 = time.perf_counter()
@@ -48,8 +46,7 @@ def main():
                 strategies=args.strategies, max_support=args.max_support,
                 max_exp=args.max_exp)
         except GraphError as e:
-            print(f"error: {e}", file=sys.stderr)
-            raise SystemExit(2)
+            _fail(e)
         t2 = time.perf_counter()
         print(f"{name:10} {pairs.pairs_checked:>10} {len(pairs.failures):>10} {t1 - t0:>8.2f} "
               f"{sampled.samples_checked:>8} {len(sampled.sample_failures):>9} "

@@ -7,11 +7,10 @@ the Garside element, each element's atom divisors on both sides, and the
 pairwise atom lcm table.
 """
 
-import argparse
 import itertools
-import sys
 
 from trickle import garside as gar
+from trickle.cli import _fail, _Parser
 from trickle.families import gar3
 from trickle.graph import GraphError
 from trickle.jsonio import load_graph
@@ -19,15 +18,14 @@ from trickle.pilings import from_syllables
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("graph", nargs="?", default=None, help="graph JSON file")
     args = ap.parse_args()
 
     try:
         g = load_graph(args.graph) if args.graph else gar3()
     except GraphError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(e)
     if not (gar.is_pregarside(g) and gar.is_garside(g)):
         raise SystemExit("the graph is not finite, complete and torsion-free")
 

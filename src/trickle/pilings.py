@@ -172,13 +172,25 @@ def normalize(graph, piling) -> Piling:
             strata = [tuple([(v, a if type(a) is int else _exponent(a)) for v, a in U])
                       for U in strata]
         return _halves(graph, strata, _step, defaultdict(dict))
-    index = kernel.index
+    index, table = kernel.index, _table(kernel)
+    ones, n, ids = table.ones, len(index), []
     try:
-        strata = [tuple([(index[v], a if type(a) is int else _exponent(a)) for v, a in U])
-                  for U in piling if U]
+        for U in piling:
+            if len(U) == 1:
+                (v, a), = U
+                x = index[v]
+                c = a if type(a) is int else _exponent(a)
+                key = c * n + x
+                u = ones.get(key)
+                if u is None:
+                    u = ones[key] = table.sid(((x, c),))
+                ids.append(u)
+            elif U:
+                ids.append(table.sid(tuple([(index[v], a if type(a) is int else _exponent(a))
+                                            for v, a in U])))
     except KeyError as e:
         raise GraphError(f"unknown vertex {reprlib.repr(e.args[0])}") from None
-    return _on_table(kernel, strata)
+    return _on_table(table, ids)
 
 
 def _exponent(a):
@@ -191,9 +203,16 @@ def _exponent(a):
         raise GraphError(f"non-integral exponent {reprlib.repr(a)}") from None
 
 
-# A call replaces a step table over this many strata plus moves, keeping others'
-# ids: 0.2-0.4 MB per graph, 1 MB on GAR3; 2x: wordproblem +5%, algebra RSS +6%.
-_TABLE_BOUND = 1 << 12
+# A call replaces a step table whose weight, _STRATUM_WEIGHT per stratum plus
+# one per move, is over _TABLE_BOUND, keeping others' ids.  A stratum holds
+# 180-570 bytes and a move 30-90, so a stratum weighs several times its bytes:
+# a table that reuses its strata keeps its moves (J5 and KJ4 all of theirs, in
+# 0.3 and 0.7 MB; RAAG-C6 1.1-1.3 MB at the bound), and one that keeps meeting
+# new strata stops near 830 of them (GAR3 0.4 MB, kjn_graph(5) 0.55 MB).  A
+# warm wordproblem pass makes 50k fresh searches, 185k at the old bound of
+# 4,096 strata plus moves: ops/s +57%.
+_STRATUM_WEIGHT = 96
+_TABLE_BOUND = 80_000
 
 
 class _StepTable:
@@ -201,17 +220,19 @@ class _StepTable:
 
     ``sids`` maps a stratum in kernel ids to its index in ``strata``;
     ``rows[u]``, the memo of ``_settle``, maps v to the ids the move at
-    (u, v) leaves, or to None; ``names`` caches strata in vertex names.
-    The lock keeps a stratum from getting two ids, and ``sids`` gets an id
-    after its stratum and row; row entries written twice are equal, and
-    ``moves`` may miss a count under threads.
+    (u, v) leaves, or to None; ``names`` caches strata in vertex names;
+    ``ones`` maps c * n + x, for a kernel of n vertices, to the id of the
+    one-syllable stratum ((x, c),).  The lock keeps a stratum from getting
+    two ids, and ``sids`` gets an id after its stratum and row; row and
+    ``ones`` entries written twice are equal, and ``moves`` may miss a
+    count under threads.
     """
 
-    __slots__ = ("kernel", "sids", "strata", "rows", "names", "moves", "lock")
+    __slots__ = ("kernel", "sids", "strata", "rows", "names", "ones", "moves", "lock")
 
     def __init__(self, kernel):
-        self.kernel, self.sids, self.strata, self.rows, self.names = kernel, {}, [], [], {}
-        self.moves, self.lock = 0, threading.Lock()
+        self.kernel, self.sids, self.strata, self.rows = kernel, {}, [], []
+        self.names, self.ones, self.moves, self.lock = {}, {}, 0, threading.Lock()
 
     def sid(self, S):
         u = self.sids.get(S)
@@ -226,14 +247,18 @@ class _StepTable:
         return u
 
 
-def _on_table(kernel, strata):
-    """``normalize`` of nonempty ``strata`` in kernel ids, back in names, on the
-    table bound at the call's start: a fresh one once over _TABLE_BOUND."""
+def _table(kernel):
+    """The kernel's step table, a fresh one once its weight is over _TABLE_BOUND."""
     table = kernel.table
-    if table is None or len(table.strata) + table.moves > _TABLE_BOUND:
+    if table is None or _STRATUM_WEIGHT * len(table.strata) + table.moves > _TABLE_BOUND:
         table = kernel.table = _StepTable(kernel)
-    names, verts, out = table.names, kernel.graph.vertices, []
-    for u in _halves(table, list(map(table.sid, strata)), _table_step, table.rows):
+    return table
+
+
+def _on_table(table, ids):
+    """``normalize`` of the stratum ids ``ids`` of ``table``, back in names."""
+    names, verts, out = table.names, table.kernel.graph.vertices, []
+    for u in _halves(table, ids, _table_step, table.rows):
         N = names.get(u)
         if N is None:
             N = names[u] = tuple([(verts[x], a) for x, a in table.strata[u]])
@@ -469,8 +494,9 @@ def from_syllables(graph, pairs) -> GroupElement:
     """Element of the product of the given (vertex, exponent) powers.
 
     On a finite graph each vertex is checked and translated to its kernel
-    id and each exponent reduced in the same pass, and the one-syllable
-    strata are normalized on the kernel's step table, as in ``normalize``.
+    id and each exponent reduced in the same pass, each one-syllable
+    stratum's id is read from the step table's ``ones``, and the ids are
+    normalized on the table, as in ``normalize``.
     """
     kernel = graph.kernel()
     strata = []
@@ -482,7 +508,8 @@ def from_syllables(graph, pairs) -> GroupElement:
             if c != 0:
                 strata.append(((v, c),))
         return GroupElement(graph, normalize(graph, tuple(strata)))
-    index, mu = kernel.index, kernel.mu
+    index, mu, table = kernel.index, kernel.mu, _table(kernel)
+    ones, n = table.ones, len(mu)
     for v, k in pairs:
         x = index.get(v)
         if x is None:
@@ -491,8 +518,12 @@ def from_syllables(graph, pairs) -> GroupElement:
             k = _exponent(k)
         c = k % mu[x] if mu[x] else k
         if c:
-            strata.append(((x, c),))
-    return GroupElement(graph, _on_table(kernel, strata))
+            key = c * n + x
+            u = ones.get(key)
+            if u is None:
+                u = ones[key] = table.sid(((x, c),))
+            strata.append(u)
+    return GroupElement(graph, _on_table(table, strata))
 
 
 def nf_letters(graph, piling):

@@ -249,6 +249,24 @@ def test_sweep_refuses_too_many_samples(samples):
     assert result.stderr == f"error: --samples {samples} is above the bound {MAX_SAMPLES}\n"
 
 
+@pytest.mark.parametrize("script, args", [
+    ("confluence_sweep.py", ["--samples", "x"]),
+    ("confluence_sweep.py", ["--samp", "5", "J3"]),
+    ("confluence_sweep.py", ["J3", "NOPE", "--max-support", "1", "--max-exp", "1"]),
+    ("confluence_sweep.py", ["J3", "x" * 3000]),
+    ("garside_tables.py", ["a", "b"]),
+    ("garside_tables.py", ["--bogus"]),
+], ids=["sweep-samples-not-int", "sweep-option-prefix", "sweep-unknown-fixture",
+        "sweep-unknown-fixture-long", "garside-tables-extra-argument", "garside-tables-unknown-option"])
+def test_scripts_usage_error_is_one_error_line_and_exit_2(script, args):
+    # as the trickle command line: nothing on stdout, the sweep's header included
+    result = _python(str(ROOT / "scripts" / script), *args)
+    assert result.returncode == 2 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert len(lines[0]) <= 300
+
+
 def test_garside_tables_refuses_finite_labels(paths):
     result = _python(str(ROOT / "scripts" / "garside_tables.py"), paths["j3"])
     assert result.returncode == 1

@@ -46,8 +46,8 @@ def reference_from_syllables(graph, pairs):
 
 
 def table_entries(table):
-    """What the step table bound counts: strata plus moves."""
-    return len(table.strata) + table.moves
+    """What the step table bound counts: each stratum at its weight, each move at one."""
+    return pilings._STRATUM_WEIGHT * len(table.strata) + table.moves
 
 
 def outcome(fn, *args):
@@ -212,7 +212,7 @@ def test_kernel_tables_grow_with_the_stars():
 def test_step_table_holds_at_most_the_bound_plus_one_call(monkeypatch):
     # a call binds the table it starts with, and a table over the bound
     # is never bound again: the next call gets a fresh one
-    bound = 300
+    bound = 3000
     monkeypatch.setattr(pilings, "_TABLE_BOUND", bound)
     g = fixture("RAAG-C6")
     k = g.kernel()
@@ -233,22 +233,34 @@ def test_step_table_holds_at_most_the_bound_plus_one_call(monkeypatch):
     assert table_entries(k.table) <= bound + most
 
 
+MEMORY_WORDS = 80       # of 200 letters: J5, KJ4 and the small fixtures never reach the bound
+
+
 def test_step_table_memory_stays_within_the_stated_bound():
-    # the bound of _TABLE_BOUND's comment and the README; GAR3 has the
-    # most strata per move of the fixtures, so it fills the most memory
-    g = fixture("GAR3")
-    k = g.kernel()
-    rng = random.Random("table:memory")
-    tracemalloc.start()
-    try:
-        before, most = tracemalloc.get_traced_memory()[0], 0
-        first = k.table
-        while k.table is first or table_entries(k.table) <= pilings._TABLE_BOUND:
-            from_syllables(g, random_word(g, rng, 200))
-            most = max(most, tracemalloc.get_traced_memory()[0] - before)
-    finally:
-        tracemalloc.stop()
-    assert most <= TABLE_MB * 2 ** 20
+    # the bound of _TABLE_BOUND's comment and the README, on the most each
+    # fixture's table holds before the bound replaces it
+    held_mb, unreached = {}, []
+    for name in sorted(FIXTURES):
+        g = fixture(name)
+        k = g.kernel()
+        rng = random.Random(f"table:memory:{name}")
+        words = [random_word(g, rng, 200) for _ in range(MEMORY_WORDS)]
+        tracemalloc.start()
+        try:
+            before, most = tracemalloc.get_traced_memory()[0], 0
+            for word in words:
+                held = k.table
+                from_syllables(g, word)
+                if held is not None and k.table is not held:
+                    break
+                most = max(most, tracemalloc.get_traced_memory()[0] - before)
+            else:
+                unreached.append(name)
+        finally:
+            tracemalloc.stop()
+        held_mb[name] = most / 2 ** 20
+    assert max(held_mb.values()) <= TABLE_MB, held_mb
+    assert not {"GAR3", "RAAG-C6", "RAAG-P6"} & set(unreached), unreached
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +280,10 @@ def assert_table_sound(table):
     ``_kernel_step`` makes; a pair where it raises keeps nothing."""
     assert len(table.sids) == len(table.strata) == len(table.rows)
     assert all(table.sids[S] == u for u, S in enumerate(table.strata))
+    n = len(table.kernel.mu)
+    for key, u in table.ones.items():
+        assert table.strata[u] == ((key % n, key // n),)
+        assert type(key // n) is int
     for u, row in enumerate(table.rows):
         for v, t in row.items():
             fresh = _kernel_step(table.kernel, table.strata[u], table.strata[v])
@@ -352,14 +368,14 @@ class _SwitchingTable(pilings._StepTable):
 
     def __init__(self, kernel):
         super().__init__(kernel)
-        self.sids = _SwitchingDict()
+        self.sids, self.ones = _SwitchingDict(), _SwitchingDict()
 
 
 def test_threads_share_one_table(monkeypatch):
     # the bound is low, so tables are replaced while the threads run; each
     # word starts in all threads at once, so they meet the same new strata
-    # together, and without the lock some stratum gets two ids
-    monkeypatch.setattr(pilings, "_TABLE_BOUND", 200)
+    # and syllables together, and without the lock some stratum gets two ids
+    monkeypatch.setattr(pilings, "_TABLE_BOUND", 2000)
     monkeypatch.setattr(pilings, "_StepTable", _SwitchingTable)
     g = fixture("J5")
     rng = random.Random("table:threads")
@@ -396,4 +412,57 @@ def test_threads_share_one_table(monkeypatch):
     assert results == [serial] * 4
     assert len(tables) > 1
     for table in tables.values():
+        assert_table_sound(table)
+
+
+class _Index:
+    """An exponent that is no int but reads as one through ``operator.index``."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __index__(self):
+        return self.k
+
+    def __repr__(self):
+        return f"_Index({self.k})"
+
+
+def disguise(rng, a):
+    """``a`` as a bool, an ``_Index`` or itself: the same exponent to the routes."""
+    r = rng.random()
+    if a in (0, 1) and r < 0.3:
+        return bool(a)
+    return _Index(a) if r < 0.5 else a
+
+
+@pytest.mark.parametrize("name", ["J5", "GAR3", "KJ4", "RAAG-C6"])
+def test_syllable_ids_match_the_reference(name, monkeypatch):
+    # one-syllable strata take their ids from the table's cache of
+    # syllables; the bound is low, so tables are replaced between the words
+    # and inside some; exponents come as ints, bools (True must come back as
+    # 1) and index-able objects, and some words hold an unknown vertex
+    monkeypatch.setattr(pilings, "_TABLE_BOUND", 3000)
+    g = fixture(name)
+    k = g.kernel()
+    k.table = None
+    rng = random.Random(f"table:ones:{name}")
+    tables = []
+    for i in range(150):
+        word = random_word(g, rng, rng.randrange(1, 120))
+        if i % 10 == 9:
+            word.insert(rng.randrange(len(word) + 1), ("nope", 1))
+        mixed = [(v, disguise(rng, a)) for v, a in word]
+        assert (repr(outcome(lambda: from_syllables(g, mixed).piling))
+                == repr(outcome(reference_from_syllables, g, word))), (name, i)
+        strata = [((v, a if v == "nope" else canonical_exponent(g, v, a)),) for v, a in word
+                  if v == "nope" or canonical_exponent(g, v, a)]
+        mixed = tuple(((v, disguise(rng, a)),) for ((v, a),) in strata)
+        expected = ("GraphError: unknown vertex 'nope'" if i % 10 == 9
+                    else reference_normalize(g, strata))
+        assert repr(outcome(normalize, g, mixed)) == repr(expected), (name, i)
+        if not tables or k.table is not tables[-1]:
+            tables.append(k.table)
+    assert len(tables) > 3
+    for table in tables:
         assert_table_sound(table)
