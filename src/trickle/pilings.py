@@ -173,7 +173,7 @@ def normalize(graph, piling) -> Piling:
                       for U in strata]
         return _halves(graph, strata, _step, defaultdict(dict))
     index, table = kernel.index, _table(kernel)
-    ones, n, ids = table.ones, len(index), []
+    ones, n, ids = table.ones, len(kernel.mu), []
     try:
         for U in piling:
             if len(U) == 1:

@@ -424,9 +424,6 @@ class _Index:
     def __index__(self):
         return self.k
 
-    def __repr__(self):
-        return f"_Index({self.k})"
-
 
 def disguise(rng, a):
     """``a`` as a bool, an ``_Index`` or itself: the same exponent to the routes."""
