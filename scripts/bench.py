@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Time ``normalize``, the two verifier checks, ``from_syllables`` and the kernel compile.
+"""Time long words, the two verifier checks, word batches and the kernel compile.
 
 One word per fixture and length, the same on every run for a given
-seed.  Its first ``normalize`` runs on a freshly built copy of the
+seed.  Its first ``from_syllables`` runs on a freshly built copy of the
 graph whose step table is still empty (the kernel is compiled before
-the clock starts): that is the cold time.  Then it is normalized three
-times more and the best time is kept, the warm time, since a finite
-graph keeps the moves it has met.  The record holds the commit, a host
+the clock starts): that is the cold time.  Then it runs three times
+more and the best time is kept, the warm time, since a finite graph
+keeps the moves it has met.  The record holds the commit, a host
 line and one row per (fixture, letters): the cold and best times in
 seconds, the number of strata in the normal form and a digest of it, so
 two records of one seed can also be checked for equal normal forms.
@@ -64,7 +64,7 @@ from trickle.confluence import check_critical_pairs, check_strategy_independence
 from trickle.families import fixture  # noqa: E402
 from trickle.graph import INFINITY, Kernel  # noqa: E402
 from trickle.jsonio import dump_graph  # noqa: E402
-from trickle.pilings import from_syllables, normalize  # noqa: E402
+from trickle.pilings import from_syllables  # noqa: E402
 from trickle.vjn import kjn_graph  # noqa: E402
 
 FIXTURES = ("J5", "CSTAR", "KJ4", "RAAG-C6", "RACG-C6")
@@ -83,14 +83,14 @@ COLD_STARTS = 5
 
 
 def random_word(g, rng, length):
-    """One-syllable strata with exponents +-1, +-2 (or a nonzero residue)."""
+    """Syllables with exponents +-1, +-2 (or a nonzero residue)."""
     out = []
     for _ in range(length):
         v = rng.choice(g.vertices)
         m = g.mu(v)
         a = rng.choice((-2, -1, 1, 2)) if m == INFINITY else rng.randrange(1, m)
-        out.append(((v, a),))
-    return tuple(out)
+        out.append((v, a))
+    return out
 
 
 def best_time(fn):
@@ -124,7 +124,7 @@ def table_at_bound(name, seed):
     g = g.with_ranking(g.vertices)     # kjn_graph's graphs are shared
     kernel = g.kernel()
     rng = random.Random(f"{seed}:table:{name}")
-    words = [[s for (s,) in random_word(g, rng, TABLE_LETTERS)] for _ in range(TABLE_WORDS)]
+    words = [random_word(g, rng, TABLE_LETTERS) for _ in range(TABLE_WORDS)]
     tracemalloc.start()
     try:
         before, most = tracemalloc.get_traced_memory()[0], 0
@@ -228,8 +228,8 @@ def main():
         g = fixture(name)
         for n in LETTERS:
             word = random_word(g, random.Random(f"{args.seed}:{name}:{n}"), n)
-            cold, fresh = cold_time(g, lambda h: normalize(h, word))
-            best, nf = best_time(lambda: normalize(fresh, word))
+            cold, fresh = cold_time(g, lambda h: from_syllables(h, word))
+            best, nf = best_time(lambda: from_syllables(fresh, word).piling)
             rows.append({"fixture": name, "letters": n, "cold_s": round(cold, 6),
                          "best_s": round(best, 6),
                          "strata_out": len(nf), "nf_digest": digest(nf)})
@@ -263,7 +263,7 @@ def main():
         g = fixture(name)
         for n in WORD_LETTERS:
             rng = random.Random(f"{args.seed}:words:{name}:{n}")
-            batch = [[s for (s,) in random_word(g, rng, n)] for _ in range(WORDS)]
+            batch = [random_word(g, rng, n) for _ in range(WORDS)]
             cold, fresh = cold_time(g, lambda h: [from_syllables(h, w) for w in batch])
             best, nfs = best_time(lambda: [from_syllables(fresh, w).piling for w in batch])
             words.append({"fixture": name, "letters": n, "words": WORDS,
@@ -282,9 +282,9 @@ def main():
 
     passes = wordproblem_passes(args.seed)
     for n in range(WORDPROBLEM_PASSES):
-        rows = [r for r in passes if r["pass"] == n]
-        print(f"wordproblem pass {n}: {sum(r['fresh_searches'] for r in rows):>7} fresh searches, "
-              f"{sum(r['replaced'] for r in rows):>3} tables replaced", flush=True)
+        done = [r for r in passes if r["pass"] == n]
+        print(f"wordproblem pass {n}: {sum(r['fresh_searches'] for r in done):>7} fresh searches, "
+              f"{sum(r['replaced'] for r in done):>3} tables replaced", flush=True)
 
     kernels = []
     for n in KERNEL_SIZES:

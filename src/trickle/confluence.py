@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graph import INFINITY, GraphError
-from .pilings import (_StepTable, _join, _table_step, normalize, push_syllable, sort_stratum,
+from .pilings import (_StepTable, _join, normalize, push_syllable, sort_stratum,
                       stratum_can_add, stratum_extract, stratum_remove, stratum_add)
 
 
@@ -208,7 +208,7 @@ class _Reducer:
         if out is None:
             table = self.table
             out = row[j] = self.intern(_join(table, self._pilings[i], self._pilings[j],
-                                             _table_step, table.rows))
+                                             table.rows))
         return out
 
     def mult_row(self, i, js):

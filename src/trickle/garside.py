@@ -2,9 +2,9 @@
 
 When every mu is infinite, the presentation is homogeneous and the
 positive words form a monoid that embeds in the group.  Positivity is
-visible on the canonical piling (no negative exponents), left
-divisibility reduces to positivity of a quotient, and right-sided
-notions reduce to left-sided ones in the dual graph through word
+visible on the canonical piling (no negative exponents), left and
+right divisibility reduce to positivity of a quotient, and the right
+atom divisors are the left ones in the dual graph through word
 reversal.  On a finite complete graph the descending product of all
 vertices is a Garside element: its left and right divisor sets coincide
 and are exactly the square-free elements, the descending products of
@@ -65,10 +65,9 @@ def _reversed_in_dual(g: GroupElement) -> GroupElement:
 
 
 def right_divides(a: GroupElement, b: GroupElement) -> bool:
-    """There is a positive c with c a = b; checked as left division of the
-    reversed words in the dual graph."""
+    """There is a positive c with c a = b, that is, b a^-1 is positive."""
     _require_pregarside(a.graph)
-    return left_divides(_reversed_in_dual(a), _reversed_in_dual(b))
+    return is_positive(b * a.inverse())
 
 
 def atom_left_divisors(g: GroupElement) -> frozenset:

@@ -23,12 +23,14 @@ Normal-form words depend on the total vertex ranking the graph carries;
 the ranking is part of the graph, so one graph yields one normal form
 per element.
 
-``normalize`` and ``from_syllables`` run a finite graph on its integer
-``Kernel`` (``graph.py``): each stratum becomes an id of the kernel's
-step table once on the way in and names once on the way out, and the
-move at a pair of ids is read from the table, which ``_kernel_step``
-fills the first time the graph meets the pair.  Lazy graphs and
-``product`` step on names; every route makes the same moves.
+Words enter through ``from_syllables``; ``normalize`` takes pilings.  Each
+graph flavour has one reduction route.  A finite graph runs on its
+integer ``Kernel`` (``graph.py``): each stratum becomes an id of the
+kernel's step table once on the way in and names once on the way out,
+and the move at a pair of ids is read from the table's rows, which
+``_kernel_step`` fills the first time the graph meets the pair.  Lazy
+graphs and ``product`` step on names and keep no memo.  Every route
+makes the same moves.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import operator
 import reprlib
 import threading
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
 from .graph import INFINITY, GraphError, TrickleGraph
 
@@ -160,10 +162,11 @@ def normalize(graph, piling) -> Piling:
     the order of the moves.
 
     On a finite graph the strata become ids of the step table of its
-    ``Kernel`` and are reduced with the table's moves; a lazy graph is
-    reduced by ``_step`` with a memo for this one call.  The move at a pair
-    depends on the pair alone, so a pair met again, in this call or an
-    earlier one, reuses its entry: the move a fresh search would make.
+    ``Kernel`` and are reduced with the table's moves: the move at a pair
+    depends on the pair alone, so a pair met in an earlier call reuses
+    its entry, the move a fresh search would make.  A lazy graph is
+    reduced by ``_step`` on names.  The syllables must be canonical;
+    words, whose exponents may not be, go through ``from_syllables``.
     """
     kernel = graph.kernel()
     if kernel is None:
@@ -171,23 +174,11 @@ def normalize(graph, piling) -> Piling:
         if any(type(a) is not int for U in strata for _, a in U):
             strata = [tuple([(v, a if type(a) is int else _exponent(a)) for v, a in U])
                       for U in strata]
-        return _halves(graph, strata, _step, defaultdict(dict))
+        return _halves(graph, strata, None)
     index, table = kernel.index, _table(kernel)
-    ones, n, ids = table.ones, len(kernel.mu), []
     try:
-        for U in piling:
-            if len(U) == 1:
-                (v, a), = U
-                x = index[v]
-                c = a if type(a) is int else _exponent(a)
-                key = c * n + x
-                u = ones.get(key)
-                if u is None:
-                    u = ones[key] = table.sid(((x, c),))
-                ids.append(u)
-            elif U:
-                ids.append(table.sid(tuple([(index[v], a if type(a) is int else _exponent(a))
-                                            for v, a in U])))
+        ids = [table.sid(tuple([(index[v], a if type(a) is int else _exponent(a)) for v, a in U]))
+               for U in piling if U]
     except KeyError as e:
         raise GraphError(f"unknown vertex {reprlib.repr(e.args[0])}") from None
     return _on_table(table, ids)
@@ -221,11 +212,11 @@ class _StepTable:
     ``sids`` maps a stratum in kernel ids to its index in ``strata``;
     ``rows[u]``, the memo of ``_settle``, maps v to the ids the move at
     (u, v) leaves, or to None; ``names`` caches strata in vertex names;
-    ``ones`` maps c * n + x, for a kernel of n vertices, to the id of the
-    one-syllable stratum ((x, c),).  The lock keeps a stratum from getting
-    two ids, and ``sids`` gets an id after its stratum and row; row and
-    ``ones`` entries written twice are equal, and ``moves`` may miss a
-    count under threads.
+    ``ones``, read by ``from_syllables``, maps c * n + x, for a kernel of
+    n vertices, to the id of the one-syllable stratum ((x, c),).  The
+    lock keeps a stratum from getting two ids, and ``sids`` gets an id
+    after its stratum and row; row and ``ones`` entries written twice are
+    equal, and ``moves`` may miss a count under threads.
     """
 
     __slots__ = ("kernel", "sids", "strata", "rows", "names", "ones", "moves", "lock")
@@ -258,7 +249,7 @@ def _table(kernel):
 def _on_table(table, ids):
     """``normalize`` of the stratum ids ``ids`` of ``table``, back in names."""
     names, verts, out = table.names, table.kernel.graph.vertices, []
-    for u in _halves(table, ids, _table_step, table.rows):
+    for u in _halves(table, ids, table.rows):
         N = names.get(u)
         if N is None:
             N = names[u] = tuple([(verts[x], a) for x, a in table.strata[u]])
@@ -279,24 +270,22 @@ def _table_step(table, u, v):
 _LEAF = 128
 
 
-def _halves(graph, strata, step, memo):
+def _halves(graph, strata, rows):
     """``normalize`` of the list ``strata`` (no empty stratum), by halves."""
     if len(strata) <= _LEAF:
-        return _settle(graph, strata, 0, len(strata) - 1, step, memo)
+        return _settle(graph, strata, 0, len(strata) - 1, rows)
     mid = len(strata) // 2
-    return _join(graph, _halves(graph, strata[:mid], step, memo),
-                 _halves(graph, strata[mid:], step, memo), step, memo)
+    return _join(graph, _halves(graph, strata[:mid], rows),
+                 _halves(graph, strata[mid:], rows), rows)
 
 
 def product(graph, left: Piling, right: Piling) -> Piling:
-    """``normalize(graph, left + right)`` for irreducible ``left`` and ``right``.
-
-    Short products rarely meet a pair twice, so no pair memo is kept.
-    """
-    return _join(graph, left, right, _step, None)
+    """``normalize(graph, left + right)`` for irreducible ``left`` and ``right``,
+    stepping on names."""
+    return _join(graph, left, right, None)
 
 
-def _join(graph, left, right, step, memo):
+def _join(graph, left, right, rows):
     """The pass of ``product``: it starts on the junction pair.
 
     Every pair inside ``left`` and inside ``right`` is irreducible, so
@@ -305,7 +294,7 @@ def _join(graph, left, right, step, memo):
     """
     if not (left and right):
         return left or right
-    return _settle(graph, list(left + right), len(left) - 1, len(left), step, memo)
+    return _settle(graph, list(left + right), len(left) - 1, len(left), rows)
 
 
 def _step(graph, U, V):
@@ -389,7 +378,7 @@ def _phi_error(kernel, x, y):
 _UNSEEN = object()
 
 
-def _settle(graph, strata, i, h, step, memo):
+def _settle(graph, strata, i, h, rows):
     """Reduce the list ``strata`` by pushes at a cursor on the pair (i, i+1).
 
     Pairs left of the cursor are irreducible, and so is every pair whose
@@ -400,24 +389,20 @@ def _settle(graph, strata, i, h, step, memo):
     may make the next pair reducible, so the frontier then moves to the
     first stratum after the rewritten ones (the last stratum when there
     is none).  Once the cursor passes the frontier, no pair is
-    reducible.  The move at a pair is ``step(graph, U, V)``: ``_step`` on
-    strata of vertices, or ``_table_step`` on stratum ids (then ``graph``
-    is the step table).  ``memo[U]`` is the row of U, mapping each V
-    searched to its step (a missing row is added), or ``memo`` is None to
-    search every pair afresh.
+    reducible.  With ``rows`` None the strata are of vertices and each
+    move is a fresh ``_step(graph, U, V)``.  Otherwise they are stratum
+    ids, ``graph`` is the step table and ``rows`` its rows: the move at
+    (U, V) is ``rows[U][V]``, which ``_table_step`` fills when missing.
     """
     while i < h:
         U, V = strata[i], strata[i + 1]
-        if memo is None:
-            t = step(graph, U, V)
+        if rows is None:
+            t = _step(graph, U, V)
         else:
-            try:
-                row = memo[U]
-            except KeyError:
-                row = memo[U] = {}
+            row = rows[U]
             t = row.get(V, _UNSEEN)
             if t is _UNSEEN:
-                t = row[V] = step(graph, U, V)
+                t = row[V] = _table_step(graph, U, V)
         if t is None:
             i += 1
         else:

@@ -13,18 +13,19 @@ reachable from the other by exchanges alone.  ``exchange_connected``
 searches that orbit breadth-first.
 
 Reduction itself is delegated to the piling engine: ``syllabic_reduce``
-converts, calls ``pilings.normalize``, and reads the strata back off in
-descending vertex order.  The result is a shortest syllabic word for the
-element, so a word is reduced exactly when reduction does not shorten
-it.  Because it goes through ``normalize``, ``syllabic_reduce`` is no
-independent check of the piling engine; ``exchange_connected`` and the
-random strategies of ``confluence`` are.
+takes the word's element through ``pilings.from_syllables``, which
+reduces each exponent mod mu and drops the vanished ones, and reads the
+strata back off in descending vertex order.  The result is a shortest
+syllabic word for the element, so a word is reduced exactly when
+reduction does not shorten it.  Because it goes through the piling
+engine, ``syllabic_reduce`` is no independent check of it;
+``exchange_connected`` and the random strategies of ``confluence`` are.
 """
 
 from __future__ import annotations
 
 from .graph import GraphError
-from .pilings import canonical_exponent, make_syllable, nf_letters, normalize, parse_word
+from .pilings import canonical_exponent, from_syllables, make_syllable, nf_letters, parse_word
 from .pilings import format_word as format_syllabic  # the name perfbench/workloads.py calls
 
 DEFAULT_ORBIT_BOUND = 10 ** 5
@@ -63,10 +64,10 @@ def syllabic_reduce(graph, word):
 
     Computed through the piling engine; the output lists each stratum of
     the canonical piling in descending vertex order, so its length is the
-    syllabic length of the element.
+    syllabic length of the element.  Exponents are read mod mu, so x^0
+    and x^mu(x) reduce to the empty word.
     """
-    piling = normalize(graph, tuple(((v, a),) for v, a in word))
-    return tuple(nf_letters(graph, piling))
+    return tuple(nf_letters(graph, from_syllables(graph, word).piling))
 
 
 def is_syllabically_reduced(graph, word) -> bool:

@@ -6,9 +6,11 @@ import pytest
 
 from corrupt import broken_d, broken_g
 from trickle import garside as gar
+from trickle.dyadic import Dyadic
 from trickle.families import cactus, fixture, gar3, raag, path_graph
 from trickle.graph import GraphError, INFINITY, TrickleGraph
 from trickle.pilings import GroupElement, element_from_text, from_syllables
+from trickle.thompson import TOP
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,35 @@ def test_right_divides(g3):
     assert gar.right_divides(y, xy)
     assert gar.right_divides(x, xy)         # x y = z x
     assert not gar.right_divides(z, xy)
+
+
+def _division_vertices(g):
+    if g.finite:
+        return list(g.vertices)
+    pool = [Dyadic(k, 2) for k in range(-6, 7)]
+    return pool + [TOP] if g.contains_vertex(TOP) else pool
+
+
+@pytest.mark.parametrize("name", ["GAR3", "RAAG-C6", "F", "QUANDLE"])
+def test_right_divides_matches_left_division_in_the_dual(name):
+    # the reference: a right-divides b iff the reversed word of a
+    # left-divides the reversed word of b in the dual graph
+    g = fixture(name)
+    rng = random.Random(f"right-divides:{name}")
+    verts = _division_vertices(g)
+
+    def element(exponents):
+        return from_syllables(g, [(rng.choice(verts), rng.choice(exponents))
+                                  for _ in range(rng.randrange(5))])
+
+    verdicts = []
+    for _ in range(150):
+        a = element((1, 1, 2, -1))
+        b = element((1, 2)) * a if rng.random() < 0.5 else element((1, 2, -1))
+        got = gar.right_divides(a, b)
+        assert got == gar.left_divides(gar._reversed_in_dual(a), gar._reversed_in_dual(b))
+        verdicts.append(got)
+    assert 30 < sum(verdicts) < 120
 
 
 def test_divides_against_bruteforce(g3):

@@ -1,9 +1,10 @@
 """The integer kernel of finite graphs against the step on vertex names.
 
-The reference route is ``_halves(graph, strata, _step, {})``: the same
-driver, with the pair step that queries the graph by vertex name.
-``normalize`` and ``from_syllables`` run on the kernel and must give the
-same pilings and raise the same errors.
+The reference route is ``_halves(graph, strata, None)``: the same
+driver, with no step table, so each move is a fresh ``_step`` that
+queries the graph by vertex name.  ``normalize`` and ``from_syllables``
+run on the kernel and must give the same pilings and raise the same
+errors.
 """
 
 import random
@@ -21,7 +22,7 @@ from trickle.dyadic import Dyadic
 from trickle.families import FIXTURES, fixture
 from trickle.graph import INFINITY, GraphError, TrickleGraph
 from trickle import pilings
-from trickle.pilings import (_LEAF, _halves, _kernel_step, _step, canonical_exponent,
+from trickle.pilings import (_LEAF, _halves, _kernel_step, canonical_exponent,
                              from_syllables, normalize, sort_stratum)
 from trickle.thompson import f_graph
 from trickle.vjn import kjn_graph
@@ -31,7 +32,7 @@ TABLE_MB = 1.5     # one step table at its bound, on any fixture
 
 
 def reference_normalize(graph, piling):
-    return _halves(graph, [U for U in piling if U], _step, {})
+    return _halves(graph, [U for U in piling if U], None)
 
 
 def reference_from_syllables(graph, pairs):
@@ -435,8 +436,9 @@ def disguise(rng, a):
 
 @pytest.mark.parametrize("name", ["J5", "GAR3", "KJ4", "RAAG-C6"])
 def test_syllable_ids_match_the_reference(name, monkeypatch):
-    # one-syllable strata take their ids from the table's cache of
-    # syllables; the bound is low, so tables are replaced between the words
+    # from_syllables takes one-syllable strata ids from the table's cache of
+    # syllables, normalize from its stratum ids, and the two share the table;
+    # the bound is low, so tables are replaced between the words
     # and inside some; exponents come as ints, bools (True must come back as
     # 1) and index-able objects, and some words hold an unknown vertex
     monkeypatch.setattr(pilings, "_TABLE_BOUND", 3000)

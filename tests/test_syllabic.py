@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from trickle.families import cactus, gar3
+from trickle.dyadic import Dyadic
+from trickle.families import cactus, fixture, gar3
 from trickle.graph import GraphError
 from trickle.pilings import format_word, from_syllables
 from trickle.syllabic import (OrbitBoundExceeded, apply_exchange, apply_merge,
@@ -71,6 +72,19 @@ def test_syllabic_reduce_examples(j3, g3):
     assert syllabic_reduce(g3, (("x", 1), ("y", 1), ("y", -1))) == (("x", 1),)
     assert syllabic_reduce(j3, ((C, 1), (A, 1))) == ((A, 1), (B, 1))
     assert syllabic_reduce(j3, ()) == ()
+
+
+def test_exponents_are_read_mod_mu():
+    # x^0 and x^mu(x) are the identity: no syllable is left of them
+    cstar, f = fixture("CSTAR"), fixture("F")
+    assert cstar.mu("u") == 3 and cstar.mu("x") == 2
+    for g, word, reduced in ((cstar, (("u", 3),), ()),
+                             (cstar, (("x", 2),), ()),
+                             (cstar, (("x", 0), ("y", 1)), (("y", 1),)),
+                             (f, ((Dyadic(0), 0),), ())):
+        assert syllabic_reduce(g, word) == reduced
+        assert not is_syllabically_reduced(g, word)
+    assert syllabic_reduce(cstar, (("u", 4),)) == (("u", 1),)
 
 
 def test_is_reduced(j3):
