@@ -25,22 +25,27 @@ C2 unit each distinct left-hand product has its row of products with
 the incoming strata read once, and each right-hand row forms its inner
 products once per distinct middle stratum V + gz before reading the
 outer products from their rows; the rows are compared as a whole.
-The strategy-independence check keeps one move table per call, so the
-random strategies search each pair of strata once.  ``resolve`` and
-the failure witnesses both ``normalize`` the two successors, so a False
-answer always comes with two distinct irreducible forms as evidence.
+The strategy-independence check holds strata as ints for one call and
+searches the landing pushes of each pair of them once.  The strategies
+of one piling walk one move graph, built as their draws first take each
+move, so a piling an earlier strategy reached is stepped through by
+lookups; the draws are those of a fresh search at every step.
+``resolve`` and the failure witnesses both ``normalize`` the two
+successors, so a False answer always comes with two distinct irreducible
+forms as evidence.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from .graph import INFINITY, GraphError
-from .pilings import (_StepTable, _join, normalize, push_syllable, sort_stratum,
-                      stratum_can_add, stratum_extract, stratum_remove, stratum_add)
+from .pilings import (_StepTable, _join, _kernel_stratum, normalize, push_syllable,
+                      sort_stratum, stratum_can_add, stratum_extract, stratum_remove,
+                      stratum_add)
 
 
 # Most strata one enumeration may build.  The work grows much faster than
@@ -50,10 +55,10 @@ from .pilings import (_StepTable, _join, normalize, push_syllable, sort_stratum,
 MAX_STRATA = 500
 
 
-class CriticalPair(NamedTuple):
-    case: str        # "C1" | "C2" | "C3"
-    strata: tuple    # C1: (W,)   C2: (U, V, W)   C3: (U, V)
-    syllables: tuple # C1: (z,)   C2: (y, z)      C3: (y, z)
+# case: "C1" | "C2" | "C3"
+# strata:    C1: (W,)   C2: (U, V, W)   C3: (U, V)
+# syllables: C1: (z,)   C2: (y, z)      C3: (y, z)
+CriticalPair = namedtuple("CriticalPair", "case strata syllables")
 
 
 def exponent_range(graph, v, max_exp):
@@ -194,12 +199,12 @@ class _Reducer:
         return i
 
     def of_stratum(self, U):
-        """Id of the one-stratum piling of the name stratum U (() when U is empty)."""
+        """Id of the piling of the name stratum U, read as ``normalize`` reads
+        it: exponents mod mu, so () when every syllable vanishes."""
         i = self._of.get(U)
         if i is None:
-            index = self.table.kernel.index
-            S = tuple([(index[v], a) for v, a in U])
-            i = self._of[U] = self.intern((self.table.sid(S),) if U else ())
+            S = _kernel_stratum(self.table.kernel, U)
+            i = self._of[U] = self.intern((self.table.sid(S),) if S else ())
         return i
 
     def mult(self, i, j):
@@ -258,12 +263,24 @@ def resolve(graph, pair: CriticalPair) -> bool:
     return normalize(graph, left) == normalize(graph, right)
 
 
-@dataclass
 class ConfluenceReport:
-    pairs_checked: int = 0
-    failures: list = field(default_factory=list)
-    samples_checked: int = 0
-    sample_failures: list = field(default_factory=list)
+    def __init__(self, pairs_checked=0, failures=None, samples_checked=0, sample_failures=None):
+        self.pairs_checked = pairs_checked
+        self.failures = [] if failures is None else failures
+        self.samples_checked = samples_checked
+        self.sample_failures = [] if sample_failures is None else sample_failures
+
+    def _values(self):
+        return self.pairs_checked, self.failures, self.samples_checked, self.sample_failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return ("ConfluenceReport(pairs_checked={!r}, failures={!r}, samples_checked={!r}, "
+                "sample_failures={!r})".format(*self._values()))
 
     @property
     def ok(self):
@@ -407,53 +424,110 @@ def _random_exponent(graph, v, rng, max_exp):
 
 def normalize_random_strategy(graph, piling, rng: random.Random):
     """Reduce by uniformly random applicable moves until irreducible."""
-    return _random_strategy(graph, piling, rng, {})
+    moves = _Moves(graph)
+    return moves.names_of(moves.walk({}, moves.key(piling), rng))
 
 
-def _random_strategy(graph, piling, rng, pushes):
-    """``normalize_random_strategy`` with a move table ``pushes`` that maps
-    a pair (U, V) to the landing pushes out of V, in syllable order.
+class _Moves:
+    """The moves of random strategies within one call, on strata held as ints.
 
-    Each step lists its moves as a fresh search would, erasures first and
-    then the pairs left to right, so ``rng`` draws the same values.
+    ``names[u]`` is the stratum with id u; id 0 is the empty stratum.  A
+    piling is held as its key, the tuple of its stratum ids.  ``pushes``
+    maps a pair of ids to the id pairs its landing pushes leave, in
+    syllable order.
+
+    A walk reads and extends a move graph ``seen``: each piling met maps
+    to its node ``(key, count, empties, ends, landings, nexts)``.  Its
+    ``count`` moves are numbered as a fresh search lists them, erasures
+    first (at the positions ``empties``) and then the pushes of each pair
+    left to right, ``landings[i]`` those of the pair at i and ``ends[i]``
+    the running total of pushes through it, so ``rng`` draws the values
+    it would draw there.  ``nexts`` maps a move's number to the node it
+    leads to, filled when a draw first takes it: walks that share
+    ``seen`` share its nodes, and a walk that reaches a piling an earlier
+    walk expanded steps on by dict lookups alone.
     """
-    strata = list(piling)
-    while True:
-        moves = [(i, None) for i, U in enumerate(strata) if not U]
-        for i in range(len(strata) - 1):
-            key = strata[i], strata[i + 1]
-            ts = pushes.get(key)
-            if ts is None:
-                U, V = key
-                ts = pushes[key] = [t for t in (push_syllable(graph, U, V, s) for s in V)
-                                    if t is not None]
-            moves += [(i, t) for t in ts]
-        if not moves:
-            return tuple(strata)
-        i, t = moves[rng.randrange(len(moves))]
-        if t is None:
-            del strata[i]
-        else:
-            strata[i:i + 2] = t
+
+    def __init__(self, graph):
+        self.graph, self.ids, self.names, self.pushes = graph, {(): 0}, [()], {}
+
+    def sid(self, U):
+        u = self.ids.get(U)
+        if u is None:
+            u = self.ids[U] = len(self.names)
+            self.names.append(U)
+        return u
+
+    def key(self, piling):
+        return tuple([self.sid(U) for U in piling])
+
+    def names_of(self, key):
+        return tuple([self.names[u] for u in key])
+
+    def _node(self, seen, key):
+        pairs = list(zip(key, key[1:]))
+        landings = list(map(self.pushes.get, pairs))
+        if None in landings:
+            for i, ts in enumerate(landings):
+                if ts is None:
+                    landings[i] = self._landings(pairs[i])
+        empties = [i for i, u in enumerate(key) if not u] if 0 in key else []
+        ends = list(itertools.accumulate(map(len, landings)))
+        count = len(empties) + (ends[-1] if ends else 0)
+        node = seen[key] = (key, count, empties, ends, landings, {})
+        return node
+
+    def _landings(self, pair):
+        U, V = self.names[pair[0]], self.names[pair[1]]
+        ts = []
+        for s in V:
+            t = push_syllable(self.graph, U, V, s)
+            if t is not None:
+                ts.append((self.sid(t[0]), self.sid(t[1])))
+        ts = self.pushes[pair] = tuple(ts)
+        return ts
+
+    def walk(self, seen, key, rng):
+        """The key of the irreducible piling one random strategy reaches from
+        ``key``; each step adds at most one piling to ``seen``."""
+        node = seen.get(key) or self._node(seen, key)
+        while True:
+            key, count, empties, ends, landings, nexts = node
+            if not count:
+                return key
+            r = rng.randrange(count)
+            node = nexts.get(r)
+            if node is None:
+                p = r - len(empties)
+                if p < 0:
+                    i = empties[r]
+                    k = key[:i] + key[i + 1:]
+                else:
+                    i = bisect.bisect_right(ends, p)
+                    k = key[:i] + landings[i][p - ends[i - 1] if i else p] + key[i + 2:]
+                node = nexts[r] = seen.get(k) or self._node(seen, k)
 
 
 def check_strategy_independence(graph, rng=None, pilings=1000, strategies=20,
                                 max_support=3, max_exp=2) -> ConfluenceReport:
     """Many random pilings, each reduced under many random strategies.
 
-    One move table serves every strategy of every piling in the call, so a
-    pair met again costs one lookup and not a push per syllable.
+    The strategies of one piling walk one move graph (``_Moves``), so a
+    piling that an earlier strategy expanded costs a dict lookup per
+    step.  The landing pushes of each pair of strata are searched once
+    per call; move graphs live for one piling.
     """
     if pilings < 0 or strategies < 1:
         raise GraphError(f"pilings must be at least 0 and strategies at least 1, "
                          f"got {pilings} and {strategies}")
     rng = rng or random.Random(0)
     report = ConfluenceReport()
-    pushes = {}
+    moves = _Moves(graph)
     for _ in range(pilings):
         piling = random_piling(graph, rng, max_support=max_support, max_exp=max_exp)
         report.samples_checked += 1
-        forms = {_random_strategy(graph, piling, rng, pushes) for _ in range(strategies)}
+        key, seen = moves.key(piling), {}
+        forms = {moves.names_of(moves.walk(seen, key, rng)) for _ in range(strategies)}
         forms.add(normalize(graph, piling))
         if len(forms) != 1:
             report.sample_failures.append((piling, sorted(forms)))

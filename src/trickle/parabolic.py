@@ -16,7 +16,6 @@ by queries, so they are rejected.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
 
 from .graph import GraphError, TrickleGraph
 from .pilings import GroupElement
@@ -45,11 +44,30 @@ def downward_closure(graph, X) -> frozenset:
                      if any(graph.leq(v, x) for x in X))
 
 
-@dataclass(frozen=True)
 class ParabolicSubgraph:
-    parent: TrickleGraph
-    vertices: frozenset
-    _induced: list = field(default_factory=list, compare=False, repr=False)
+    """A parabolic vertex subset of ``parent``, immutable; equal when the
+    parent and the vertices are, whether or not the induced graph is built."""
+
+    __slots__ = ("parent", "vertices", "_induced")
+
+    def __init__(self, parent: TrickleGraph, vertices: frozenset):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_induced", [])
+
+    def __setattr__(self, *a):
+        raise AttributeError("ParabolicSubgraph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.vertices) == (other.parent, other.vertices)
+
+    def __hash__(self):
+        return hash((self.parent, self.vertices))
+
+    def __repr__(self):
+        return f"ParabolicSubgraph(parent={self.parent!r}, vertices={self.vertices!r})"
 
     def graph(self) -> TrickleGraph:
         """The induced quadruple, ranked by the parent order."""

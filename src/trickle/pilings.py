@@ -165,23 +165,44 @@ def normalize(graph, piling) -> Piling:
     ``Kernel`` and are reduced with the table's moves: the move at a pair
     depends on the pair alone, so a pair met in an earlier call reuses
     its entry, the move a fresh search would make.  A lazy graph is
-    reduced by ``_step`` on names.  The syllables must be canonical;
-    words, whose exponents may not be, go through ``from_syllables``.
+    reduced by ``_step`` on names.  On both routes each exponent is read
+    mod mu and the syllables that vanish are dropped, as in
+    ``from_syllables``, so ``x^mu(x)`` and ``x^0`` are the identity.
     """
     kernel = graph.kernel()
     if kernel is None:
-        strata = [U for U in piling if U]
-        if any(type(a) is not int for U in strata for _, a in U):
-            strata = [tuple([(v, a if type(a) is int else _exponent(a)) for v, a in U])
-                      for U in strata]
+        strata = []
+        for U in piling:
+            S = []
+            for v, a in U:
+                c = canonical_exponent(graph, v, a if type(a) is int else _exponent(a))
+                if c:
+                    S.append((v, c))
+            if S:
+                strata.append(tuple(S))
         return _halves(graph, strata, None)
-    index, table = kernel.index, _table(kernel)
-    try:
-        ids = [table.sid(tuple([(index[v], a if type(a) is int else _exponent(a)) for v, a in U]))
-               for U in piling if U]
-    except KeyError as e:
-        raise GraphError(f"unknown vertex {reprlib.repr(e.args[0])}") from None
+    table, ids = _table(kernel), []
+    for U in piling:
+        S = _kernel_stratum(kernel, U)
+        if S:
+            ids.append(table.sid(S))
     return _on_table(table, ids)
+
+
+def _kernel_stratum(kernel, U):
+    """The name stratum U in the ids of ``kernel``, each exponent read mod
+    mu and the syllables that vanish dropped."""
+    index, mu, S = kernel.index, kernel.mu, []
+    for v, a in U:
+        x = index.get(v)
+        if x is None:
+            raise GraphError(f"unknown vertex {reprlib.repr(v)}")
+        c = a if type(a) is int else _exponent(a)
+        if mu[x]:
+            c %= mu[x]
+        if c:
+            S.append((x, c))
+    return tuple(S)
 
 
 def _exponent(a):
@@ -489,9 +510,7 @@ def from_syllables(graph, pairs) -> GroupElement:
         for v, k in pairs:
             if not graph.contains_vertex(v):
                 raise GraphError(f"unknown vertex {reprlib.repr(v)}")
-            c = canonical_exponent(graph, v, k if type(k) is int else _exponent(k))
-            if c != 0:
-                strata.append(((v, c),))
+            strata.append(((v, k),))
         return GroupElement(graph, normalize(graph, tuple(strata)))
     index, mu, table = kernel.index, kernel.mu, _table(kernel)
     ones, n = table.ones, len(mu)

@@ -71,7 +71,10 @@ def syllabic_reduce(graph, word):
 
 
 def is_syllabically_reduced(graph, word) -> bool:
-    return len(word) == len(syllabic_reduce(graph, word))
+    """No reduction shortens the word and every exponent is canonical, so
+    ``x^(mu(x) + 1)`` is not reduced although ``x`` has the same length."""
+    return (len(word) == len(syllabic_reduce(graph, word))
+            and all(canonical_exponent(graph, v, a) == a for v, a in word))
 
 
 def exchange_connected(graph, w, v, bound=DEFAULT_ORBIT_BOUND) -> bool:

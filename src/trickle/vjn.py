@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import re
 import reprlib
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .graph import GraphError, TrickleGraph
@@ -96,10 +95,28 @@ def kjn_graph(n: int) -> TrickleGraph:
 # words and elements
 
 
-@dataclass(frozen=True)
 class VjnElement:
-    kernel: GroupElement
-    perm: Perm
+    """An immutable (kernel element, permutation) pair."""
+
+    __slots__ = ("kernel", "perm")
+
+    def __init__(self, kernel: GroupElement, perm: Perm):
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "perm", perm)
+
+    def __setattr__(self, *a):
+        raise AttributeError("VjnElement is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kernel, self.perm) == (other.kernel, other.perm)
+
+    def __hash__(self):
+        return hash((self.kernel, self.perm))
+
+    def __repr__(self):
+        return f"VjnElement(kernel={self.kernel!r}, perm={self.perm!r})"
 
 
 _TOKEN = re.compile(r"^(?:x\[(\d+),(\d+)\]|r(\d+))$")

@@ -368,6 +368,13 @@ def test_import_loads_no_command_module():
     assert result.stdout.split() == ["trickle", "trickle.cli", "trickle.graph", "trickle.pilings"]
 
 
+def test_verifier_parabolic_and_vjn_load_no_dataclasses():
+    code = ("import sys, trickle.confluence, trickle.parabolic, trickle.vjn; print(' '.join("
+            "sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules)))")
+    result = _python("-S", "-c", code)
+    assert (result.returncode, result.stdout) == (0, "\n"), result.stderr
+
+
 @pytest.mark.parametrize("graph", ["long-complete", "long-missing"])
 def test_order_bounds_a_long_vertex_id(paths, graph):
     # an infinite group is an answer, not an error: one short line, exit 0

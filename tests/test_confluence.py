@@ -7,7 +7,7 @@ from corrupt import broken_a, broken_b, broken_c, broken_d, broken_e, broken_f, 
 from trickle import confluence as conf
 from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
 from trickle.graph import INFINITY, GraphError, TrickleGraph
-from trickle.pilings import make_stratum, normalize, push_syllable
+from trickle.pilings import _LEAF, make_stratum, normalize, push_syllable
 
 A, B, C = "[1,3]", "[1,2]", "[2,3]"
 
@@ -268,6 +268,51 @@ def test_shared_move_table_matches_fresh_searches(name):
     assert report.samples_checked == expected.samples_checked == 40
     assert report.sample_failures == expected.sample_failures
     assert rng.random() == reference.random()
+
+
+def _long_piling(g, rng):
+    piling = ()
+    while len(piling) <= _LEAF:
+        piling += conf.random_piling(g, rng, max_len=8)
+    return piling[:_LEAF + 1]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_one_walk_matches_fresh_searches_on_long_pilings(name):
+    # pilings of _LEAF + 1 strata take hundreds of steps, most of them
+    # to pilings no earlier step met
+    base = fixture(name)
+    for g in (base, base.dual()):
+        piling = _long_piling(g, random.Random(43))
+        rng, reference = random.Random(7), random.Random(7)
+        assert (conf.normalize_random_strategy(g, piling, rng)
+                == reference_random_strategy(g, piling, reference))
+        assert rng.random() == reference.random()
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("name", ["GAR3", "J5", "KJ4"])
+def test_a_walk_adds_at_most_one_piling_per_step(name):
+    g = fixture(name)
+    moves = conf._Moves(g)
+    rng = _CountingRandom(11)
+    for _ in range(20):
+        key, seen = moves.key(conf.random_piling(g, rng)), {}
+        for _ in range(8):
+            before, draws = len(seen), rng.draws
+            moves.walk(seen, key, rng)
+            assert len(seen) - before <= rng.draws - draws + 1
+    piling = _long_piling(g, rng)
+    seen, draws = {}, rng.draws
+    moves.walk(seen, moves.key(piling), rng)
+    assert len(seen) <= rng.draws - draws + 1
 
 
 def test_strategy_independence_report():

@@ -32,7 +32,10 @@ TABLE_MB = 1.5     # one step table at its bound, on any fixture
 
 
 def reference_normalize(graph, piling):
-    return _halves(graph, [U for U in piling if U], None)
+    """The name route, reading each exponent mod mu as ``normalize`` does."""
+    strata = [tuple([(v, canonical_exponent(graph, v, a)) for v, a in U
+                     if canonical_exponent(graph, v, a)]) for U in piling]
+    return _halves(graph, [U for U in strata if U], None)
 
 
 def reference_from_syllables(graph, pairs):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trickle.confluence import normalize_random_strategy, random_piling
+from trickle.dyadic import Dyadic
 from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
 from trickle.graph import GraphError, INFINITY, TrickleGraph
 from trickle.garside import letter_length
@@ -131,6 +132,16 @@ def test_normalize_examples(j3):
 def test_normalize_drops_empty_strata(j3):
     assert normalize(j3, ((), strat(j3, (B, 1)), ())) == (strat(j3, (B, 1)),)
     assert normalize(j3, ((),)) == ()
+
+
+def test_normalize_reads_exponents_mod_mu():
+    cstar = fixture("CSTAR")          # mu(u) = 3, mu(x) = 2
+    assert normalize(cstar, ((("u", 1),), (("u", 2),))) == ()
+    assert normalize(cstar, ((("u", 3),),)) == ()
+    assert normalize(cstar, ((("x", 0),),)) == ()
+    assert normalize(cstar, ((("u", 4),),)) == normalize(cstar, ((("u", 1),),))
+    F = fixture("F")
+    assert normalize(F, (((Dyadic(0), 0),),)) == ()
 
 
 def _random_word(g, rng, length):

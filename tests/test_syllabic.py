@@ -93,6 +93,13 @@ def test_is_reduced(j3):
     assert is_syllabically_reduced(j3, ((B, 1), (C, 1)))
 
 
+def test_a_non_canonical_exponent_is_not_reduced():
+    cstar = fixture("CSTAR")
+    assert is_syllabically_reduced(cstar, (("u", 1),))
+    assert not is_syllabically_reduced(cstar, (("u", 4),))
+    assert not is_syllabically_reduced(cstar, (("u", -2),))
+
+
 def test_exchange_connected_examples(j3):
     assert exchange_connected(j3, ((A, 1), (B, 1)), ((C, 1), (A, 1)))
     assert not exchange_connected(j3, ((B, 1), (C, 1)), ((C, 1), (B, 1)))
@@ -105,6 +112,9 @@ def test_exchange_connected_preconditions(j3):
         exchange_connected(j3, ((A, 1),), ((A, 1), (B, 1)))
     with pytest.raises(GraphError, match="reduced"):
         exchange_connected(j3, ((A, 1), (A, 1)), ((B, 1), (B, 1)))
+    # u^4 is u on CSTAR, but not a reduced word
+    with pytest.raises(GraphError, match="reduced"):
+        exchange_connected(fixture("CSTAR"), (("u", 4),), (("u", 1),))
 
 
 def test_orbit_bound(j3):
