@@ -41,6 +41,7 @@ import bisect
 import itertools
 import random
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .graph import INFINITY, GraphError
 from .pilings import (_StepTable, _join, _kernel_stratum, normalize, push_syllable,
@@ -263,24 +264,12 @@ def resolve(graph, pair: CriticalPair) -> bool:
     return normalize(graph, left) == normalize(graph, right)
 
 
-class ConfluenceReport:
+class ConfluenceReport(SimpleNamespace):
     def __init__(self, pairs_checked=0, failures=None, samples_checked=0, sample_failures=None):
-        self.pairs_checked = pairs_checked
-        self.failures = [] if failures is None else failures
-        self.samples_checked = samples_checked
-        self.sample_failures = [] if sample_failures is None else sample_failures
-
-    def _values(self):
-        return self.pairs_checked, self.failures, self.samples_checked, self.sample_failures
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        return ("ConfluenceReport(pairs_checked={!r}, failures={!r}, samples_checked={!r}, "
-                "sample_failures={!r})".format(*self._values()))
+        super().__init__(pairs_checked=pairs_checked,
+                         failures=[] if failures is None else failures,
+                         samples_checked=samples_checked,
+                         sample_failures=[] if sample_failures is None else sample_failures)
 
     @property
     def ok(self):

@@ -41,6 +41,7 @@ import itertools
 import reprlib
 from collections import namedtuple
 from math import inf, lcm
+from types import SimpleNamespace
 
 INFINITY = inf
 LAZY_POWER_CAP = 10 ** 6
@@ -63,18 +64,10 @@ class Violation(namedtuple("Violation", "axiom witness detail")):
         return f"{what} at {self.witness}: {self.detail}"
 
 
-class ValidationReport:
+class ValidationReport(SimpleNamespace):
     def __init__(self, violations=None, checked=None):
-        self.violations = [] if violations is None else violations
-        self.checked = checked      # number of samples, for spot checks
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.violations, self.checked) == (other.violations, other.checked)
-
-    def __repr__(self):
-        return f"ValidationReport(violations={self.violations!r}, checked={self.checked!r})"
+        # checked: the number of samples, for spot checks
+        super().__init__(violations=[] if violations is None else violations, checked=checked)
 
     @property
     def ok(self):

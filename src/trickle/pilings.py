@@ -165,9 +165,10 @@ def normalize(graph, piling) -> Piling:
     ``Kernel`` and are reduced with the table's moves: the move at a pair
     depends on the pair alone, so a pair met in an earlier call reuses
     its entry, the move a fresh search would make.  A lazy graph is
-    reduced by ``_step`` on names.  On both routes each exponent is read
-    mod mu and the syllables that vanish are dropped, as in
-    ``from_syllables``, so ``x^mu(x)`` and ``x^0`` are the identity.
+    reduced by ``_step`` on names.  On both routes each vertex is checked,
+    each exponent is read mod mu and the syllables that vanish are
+    dropped, so ``x^mu(x)`` and ``x^0`` are the identity, and a stratum
+    may list its syllables in any order: it is put in descending rank.
     """
     kernel = graph.kernel()
     if kernel is None:
@@ -175,11 +176,13 @@ def normalize(graph, piling) -> Piling:
         for U in piling:
             S = []
             for v, a in U:
+                if not graph.contains_vertex(v):
+                    raise GraphError(f"unknown vertex {reprlib.repr(v)}")
                 c = canonical_exponent(graph, v, a if type(a) is int else _exponent(a))
                 if c:
                     S.append((v, c))
             if S:
-                strata.append(tuple(S))
+                strata.append(sort_stratum(graph, S) if len(S) > 1 else tuple(S))
         return _halves(graph, strata, None)
     table, ids = _table(kernel), []
     for U in piling:
@@ -191,7 +194,8 @@ def normalize(graph, piling) -> Piling:
 
 def _kernel_stratum(kernel, U):
     """The name stratum U in the ids of ``kernel``, each exponent read mod
-    mu and the syllables that vanish dropped."""
+    mu, the syllables that vanish dropped, in descending id, which is
+    descending rank (a stable sort on the vertex alone)."""
     index, mu, S = kernel.index, kernel.mu, []
     for v, a in U:
         x = index.get(v)
@@ -202,6 +206,8 @@ def _kernel_stratum(kernel, U):
             c %= mu[x]
         if c:
             S.append((x, c))
+    if len(S) > 1:
+        S.sort(key=operator.itemgetter(0), reverse=True)
     return tuple(S)
 
 
@@ -502,16 +508,13 @@ def from_syllables(graph, pairs) -> GroupElement:
     On a finite graph each vertex is checked and translated to its kernel
     id and each exponent reduced in the same pass, each one-syllable
     stratum's id is read from the step table's ``ones``, and the ids are
-    normalized on the table, as in ``normalize``.
+    normalized on the table, as in ``normalize``.  On a lazy graph the
+    word is handed to ``normalize`` as one-syllable strata.
     """
     kernel = graph.kernel()
-    strata = []
     if kernel is None:
-        for v, k in pairs:
-            if not graph.contains_vertex(v):
-                raise GraphError(f"unknown vertex {reprlib.repr(v)}")
-            strata.append(((v, k),))
-        return GroupElement(graph, normalize(graph, tuple(strata)))
+        return GroupElement(graph, normalize(graph, [((v, k),) for v, k in pairs]))
+    strata = []
     index, mu, table = kernel.index, kernel.mu, _table(kernel)
     ones, n = table.ones, len(mu)
     for v, k in pairs:

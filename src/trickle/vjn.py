@@ -22,10 +22,11 @@ from __future__ import annotations
 import itertools
 import re
 import reprlib
+from collections import namedtuple
 from functools import lru_cache
 
 from .graph import GraphError, TrickleGraph
-from .pilings import GroupElement, from_syllables
+from .pilings import from_syllables
 
 Perm = tuple  # one-line: perm[i - 1] is the image of i
 
@@ -95,28 +96,8 @@ def kjn_graph(n: int) -> TrickleGraph:
 # words and elements
 
 
-class VjnElement:
-    """An immutable (kernel element, permutation) pair."""
-
-    __slots__ = ("kernel", "perm")
-
-    def __init__(self, kernel: GroupElement, perm: Perm):
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "perm", perm)
-
-    def __setattr__(self, *a):
-        raise AttributeError("VjnElement is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kernel, self.perm) == (other.kernel, other.perm)
-
-    def __hash__(self):
-        return hash((self.kernel, self.perm))
-
-    def __repr__(self):
-        return f"VjnElement(kernel={self.kernel!r}, perm={self.perm!r})"
+# An immutable (kernel element, permutation) pair.
+VjnElement = namedtuple("VjnElement", "kernel perm")
 
 
 _TOKEN = re.compile(r"^(?:x\[(\d+),(\d+)\]|r(\d+))$")
@@ -162,6 +143,8 @@ def vjn_encode(n: int, word) -> VjnElement:
             perm[i - 1], perm[i] = perm[i], perm[i - 1]
         else:
             _, p, q = tok
+            if not 1 <= p < q <= n:
+                raise GraphError(f"{reprlib.repr(f'x[{p},{q}]')} is out of range for n = {n}")
             sylls.append((tuple(perm[p - 1:q]), 1))
     return VjnElement(from_syllables(kjn_graph(n), sylls), tuple(perm))
 

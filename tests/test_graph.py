@@ -9,9 +9,11 @@ from corrupt import BROKEN
 from trickle.dyadic import Dyadic
 from trickle.families import (affine_quandle_graph, cactus, dual_cactus_s3,
                               fixture, gar3, FIXTURES, LAZY_FIXTURES)
-from trickle.graph import (GraphError, INFINITY, LAZY_POWER_CAP, TrickleGraph, spot_check,
-                           validate)
+from trickle.confluence import ConfluenceReport
+from trickle.graph import (GraphError, INFINITY, LAZY_POWER_CAP, TrickleGraph, ValidationReport,
+                           Violation, spot_check, validate)
 from trickle.thompson import TOP, f_graph
+from trickle.vjn import vjn_encode
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -363,6 +365,40 @@ def test_spot_check_vacuous():
     report = spot_check(f_graph(), [])
     assert report.ok
     assert report.describe() == "valid (vacuous)"
+
+
+def test_records_compare_by_fields_and_print_them():
+    report = ValidationReport()
+    assert (report.violations, report.checked) == ([], None)
+    assert ValidationReport().violations is not report.violations
+    assert repr(report) == "ValidationReport(violations=[], checked=None)"
+    v = Violation("a", ("y", "x"), "no edge")
+    report = ValidationReport([v], checked=3)
+    assert repr(report) == ("ValidationReport(violations=[Violation(axiom='a', "
+                            "witness=('y', 'x'), detail='no edge')], checked=3)")
+    assert report == ValidationReport([v], 3) and report != ValidationReport([v], 4)
+    report.checked = 4
+    assert report == ValidationReport([v], 4)
+
+    conf = ConfluenceReport()
+    assert (conf.pairs_checked, conf.failures, conf.samples_checked,
+            conf.sample_failures) == (0, [], 0, [])
+    assert ConfluenceReport().failures is not conf.failures
+    conf.samples_checked = 5
+    assert repr(conf) == ("ConfluenceReport(pairs_checked=0, failures=[], samples_checked=5, "
+                          "sample_failures=[])")
+    assert conf == ConfluenceReport(samples_checked=5) != ConfluenceReport(pairs_checked=5)
+    for unhashable in (report, conf):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+    e = vjn_encode(3, "x[1,3] r1")
+    assert repr(e) == "VjnElement(kernel=<element (1,2,3)>, perm=(2, 1, 3))"
+    assert (e.kernel, e.perm) == (vjn_encode(3, "x[1,3]").kernel, (2, 1, 3))
+    assert e == vjn_encode(3, "x[1,3] r2 r2 r1") != vjn_encode(3, "x[1,3]")
+    assert hash(e) == hash((e.kernel, e.perm))
+    with pytest.raises(AttributeError):
+        e.perm = (1, 2, 3)
 
 
 def test_validate_refuses_lazy():

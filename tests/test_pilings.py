@@ -144,6 +144,23 @@ def test_normalize_reads_exponents_mod_mu():
     assert normalize(F, (((Dyadic(0), 0),),)) == ()
 
 
+@pytest.mark.parametrize("name", ["F", "QUANDLE"])
+def test_normalize_checks_vertices_on_lazy_graphs(name):
+    g = fixture(name)
+    for piling in (((("x", 1),),), (((Dyadic(1, 1), 1),), (("x", 1),))):
+        with pytest.raises(GraphError, match="unknown vertex 'x'"):
+            normalize(g, piling)
+
+
+def test_normalize_reads_a_stratum_in_any_order(j3):
+    assert normalize(j3, (((B, 1), (A, 1)),)) == (strat(j3, (A, 1), (B, 1)),)
+    assert normalize(j3, (((B, 1), (A, 1)),)) == normalize(j3, (((A, 1), (B, 1)),))
+    F = fixture("F")
+    low, high = (Dyadic(0), 1), (Dyadic(1, 1), -1)
+    assert normalize(F, ((low, high),)) == ((high, low),)
+    assert normalize(F, ((low, high), (low,))) == normalize(F, ((high, low), (low,)))
+
+
 def _random_word(g, rng, length):
     word = []
     for _ in range(length):

@@ -62,6 +62,14 @@ def test_encode_examples():
         vjn_encode(3, [("r", 3)])
 
 
+@pytest.mark.parametrize("p, q", [(1, 3), (0, 2), (2, 2), (2, 1)])
+def test_encode_refuses_intervals_out_of_range(p, q):
+    with pytest.raises(GraphError, match=rf"^'x\[{p},{q}\]' is out of range for n = 2$"):
+        vjn_encode(2, [("x", p, q)])
+    with pytest.raises(GraphError):
+        vjn_equal(2, [("x", p, q)], [("x", 1, 2)])
+
+
 def _word(tokens):
     return " ".join(tokens)
 
