@@ -129,11 +129,11 @@ def member_cmd(args):
 
 def tits_reduce_cmd(args):
     """Shortest syllabic word for the element of a syllabic word."""
-    from .pilings import format_word
-    from .syllabic import parse_syllabic, syllabic_reduce
+    from .pilings import format_word, parse_word
+    from .syllabic import syllabic_reduce
 
     g = _load(args.graph_path)
-    reduced = syllabic_reduce(g, parse_syllabic(g, args.word))
+    reduced = syllabic_reduce(g, parse_word(g, args.word))
     print(format_word(g, reduced) or "(identity)")
 
 

@@ -44,15 +44,15 @@ from collections import namedtuple
 from types import SimpleNamespace
 
 from .graph import INFINITY, GraphError
-from .pilings import (_StepTable, _join, _kernel_stratum, normalize, push_syllable,
-                      sort_stratum, stratum_can_add, stratum_extract, stratum_remove,
-                      stratum_add)
+from .pilings import (_StepTable, _join, _kernel_stratum, _stratum_add, normalize,
+                      push_syllable, sort_stratum, stratum_can_add, stratum_extract,
+                      stratum_remove)
 
 
-# Most strata one enumeration may build.  The work grows much faster than
-# the strata: on a 2-core x86-64 host, KJ4 at support 3 and exponent 2 has
-# 361 strata and takes about 6 s and 200 MB to check, and RAAG-C6 at
-# (2, 4) has 433 and takes minutes.
+# Most strata one enumeration may build.  The work grows much faster than the
+# strata: on a 2-core x86-64 host, KJ4 at support 3 and exponent 2 has 361
+# strata and 1.5M pairs, checked in 3-4 s and 150 MB max RSS, and RAAG-C6 at
+# (2, 4) has 433 strata and 35M pairs, checked in 15-21 s and 340 MB.
 MAX_STRATA = 500
 
 
@@ -84,45 +84,38 @@ def _check_bounds(max_support, max_exp):
 def enumerate_strata(graph, max_support, max_exp):
     """All strata with support size and exponent magnitude within bounds.
 
-    The strata are counted before any is built, and more than MAX_STRATA
-    of them raise ``GraphError``.
+    The cliques are searched once, and each clique's strata are counted
+    before they are built: more than MAX_STRATA in all raise ``GraphError``.
     """
     if not graph.finite:
         raise GraphError("stratum enumeration needs a finite graph")
     _check_bounds(max_support, max_exp)
-    verts = list(graph.vertices)
-    cliques = []
-    count = 1       # the empty stratum
+    out = [()]
 
     def extend(base, strata, candidates):
-        nonlocal count
         for i, v in enumerate(candidates):
             clique = base + [v]
-            cliques.append(tuple(clique))
             n = strata * _exponent_count(graph, v, max_exp)
-            count += n
-            if count > MAX_STRATA:
+            if len(out) + n > MAX_STRATA:
                 raise GraphError(f"more than {MAX_STRATA} strata within max_support "
                                  f"{max_support} and max_exp {max_exp}; lower the bounds")
+            ranges = [[(w, a) for a in exponent_range(graph, w, max_exp)] for w in clique]
+            out.extend(sort_stratum(graph, sylls) for sylls in itertools.product(*ranges))
             if len(clique) < max_support:
                 extend(clique, n, [w for w in candidates[i + 1:] if graph.edge(v, w)])
 
-    extend([], 1, verts)
-    out = [()]
-    for clique in cliques:
-        ranges = [[(v, a) for a in exponent_range(graph, v, max_exp)] for v in clique]
-        for sylls in itertools.product(*ranges):
-            out.append(sort_stratum(graph, sylls))
+    extend([], 1, list(graph.vertices))
     return out
 
 
 def _units(graph, max_support, max_exp):
     """Every overlap within the bounds, once, grouped into work units.
 
-    ``("C1", W)`` covers every member of W; ``("C3", U, V, (y, gy), (z, gz))``
-    is one overlap; in ``("C2", V, incoming, heads)`` each head ``(y, gy, U)``
-    is one unit, paired with every ``(W, z, gz)`` of ``incoming``.  ``gy`` is
-    y extracted from its stratum: the syllable that lands.
+    ``("C1", W, movers)`` covers each ``(s, gs)`` of W's movers; ``("C3", U,
+    V, (y, gy), (z, gz))`` is one overlap; in ``("C2", V, incoming, heads)``
+    each head ``(y, gy, U)`` is one unit, paired with every ``(W, z, gz)`` of
+    ``incoming``.  ``gy`` is y extracted from its stratum: the syllable that
+    lands, in every stratum a unit adds it to (``addable``, or ``()``).
     """
     strata = enumerate_strata(graph, max_support, max_exp)
     nonempty = [U for U in strata if U]
@@ -131,12 +124,12 @@ def _units(graph, max_support, max_exp):
                for v in graph.vertices}
 
     for W in nonempty:
-        yield ("C1", W)
+        yield ("C1", W, movers[W])
 
     for V in nonempty:
         for (y, gy), (z, gz) in itertools.combinations(movers[V], 2):
-            for U in strata:
-                if stratum_can_add(graph, U, gy) and stratum_can_add(graph, U, gz):
+            for U in addable[gy[0]]:
+                if stratum_can_add(graph, U, gz):
                     yield ("C3", U, V, (y, gy), (z, gz))
 
     wz_by_vertex = {v: [] for v in graph.vertices}
@@ -155,8 +148,8 @@ def enumerate_critical_pairs(graph, max_support=3, max_exp=2):
     """Yield every overlap within the bounds (finite mu: full residue range)."""
     for unit in _units(graph, max_support, max_exp):
         if unit[0] == "C1":
-            W = unit[1]
-            for s in W:
+            _, W, movers = unit
+            for s, _ in movers:
                 yield CriticalPair("C1", (W,), (s,))
         elif unit[0] == "C3":
             _, U, V, (y, _), (z, _) = unit
@@ -313,7 +306,7 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
     def add(U, g):
         i = added.get((U, g))
         if i is None:
-            i = added[U, g] = of(stratum_add(graph, U, g))
+            i = added[U, g] = of(_stratum_add(graph, U, g))
         return i
 
     def remove(V, y):
@@ -328,12 +321,11 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
 
     for u in _units(graph, max_support, max_exp):
         if u[0] == "C1":
-            W = u[1]
+            _, W, movers = u
             iW = of(W)
-            for s in W:
+            for s, gs in movers:
                 report.pairs_checked += 1
-                t = push_syllable(graph, (), W, s)
-                if mult(of(t[0]), of(t[1])) != iW:
+                if mult(add((), gs), remove(W, s)) != iW:
                     if record(CriticalPair("C1", (W,), (s,))):
                         return report
         elif u[0] == "C3":

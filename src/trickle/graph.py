@@ -406,18 +406,14 @@ class TrickleGraph:
             try:
                 cycle, i = self._cycles[x][y]
             except KeyError:
-                raise self.phi_error(x, y) from None
+                raise GraphError(self._phi_bad.get(x) or f"{reprlib.repr(y)} is not in "
+                                 f"star({reprlib.repr(x)})") from None
             return cycle[(i + a) % len(cycle)]
         if x == y:
             return y
         if abs(a) > LAZY_POWER_CAP:
             raise GraphError(f"phi power {a} exceeds the cap {LAZY_POWER_CAP} on a lazy graph")
         return self._phi_pow_fn(x, a, y)
-
-    def phi_error(self, x, y) -> GraphError:
-        """Why a finite graph's phi_x has no image at y: an unsound map or y off the star."""
-        return GraphError(self._phi_bad.get(x) or f"{reprlib.repr(y)} is not in "
-                          f"star({reprlib.repr(x)})")
 
     def sort_key(self, v):
         """Key whose descending order is the normal-form order on vertices."""

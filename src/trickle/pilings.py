@@ -347,9 +347,9 @@ def _kernel_step(kernel, U, V):
     vertex's neighbours; then every other syllable of U is pulled back
     through phi, a matching one merges or cancels, and the stratum is
     sorted by descending id, which is descending rank.  So the move at
-    every pair is the move of ``_step``.  Where ``_step`` would raise (an
+    every pair is the move of ``_step``.  Where the tables give no image (an
     unsound star map, a vertex outside a star: only broken graphs get
-    there), this raises the same error through ``_phi_error``.
+    there), it returns ``_name_step``, where ``_step`` raises its own error.
     """
     adj, pw, mu = kernel.adj, kernel.pw, kernel.mu
     supp = 0
@@ -360,21 +360,19 @@ def _kernel_step(kernel, U, V):
             x, a = V[j]
             p = pw[x]
             if p is None:
-                raise _phi_error(kernel, x, y)
+                return _name_step(kernel, U, V)
             c = p.get(y)
             if c is not None:
                 y = c[0][(c[1] + a) % len(c[0])]
             elif y != x and not adj[x] >> y & 1:
-                raise _phi_error(kernel, x, y)
+                return _name_step(kernel, U, V)
         bit = 1 << y
         merged = supp & bit
         if not merged and supp & ~adj[y]:
             continue
         p = pw[y]
         if p is None and supp != bit or merged and supp & ~adj[y] != bit:
-            # ``_stratum_add`` pulls U back through phi_y and fails at the first such x
-            raise _phi_error(kernel, y, next(x for x, _ in U if x != y and (
-                p is None or not adj[y] >> x & 1)))
+            return _name_step(kernel, U, V)
         out = []
         for x, a in U:
             if x == y:
@@ -396,10 +394,11 @@ def _kernel_step(kernel, U, V):
     return None
 
 
-def _phi_error(kernel, x, y):
-    """The error ``graph.phi_pow`` raises at the names of ids x and y."""
+def _name_step(kernel, U, V):
+    """``_step`` at the names of the id strata U and V, its move back in ids."""
     verts = kernel.graph.vertices
-    return kernel.graph.phi_error(verts[x], verts[y])
+    t = _step(kernel.graph, *[tuple([(verts[x], a) for x, a in S]) for S in (U, V)])
+    return t and tuple([_kernel_stratum(kernel, S) for S in t])
 
 
 _UNSEEN = object()

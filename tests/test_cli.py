@@ -119,6 +119,15 @@ def test_tits_reduce(paths):
     assert out.strip() == "[1,3] [1,2]"
 
 
+def test_tits_reduce_reads_exponents_mod_mu(paths):
+    # as nf and eq do: x^mu(x) is the identity, and x^0 is no token
+    assert run("tits-reduce", paths["j3"], "[1,2]^2").strip() == "(identity)"
+    assert run("nf", paths["j3"], "[1,2]^2").endswith("nf: (identity)\n")
+    assert run("tits-reduce", paths["j3"], "[1,2]^3 [2,3]").strip() == "[1,2] [2,3]"
+    out = run("tits-reduce", paths["j3"], "[1,2]^0", code=2)
+    assert out == "error: zero exponent in token '[1,2]^0'\n"
+
+
 def test_garside(paths):
     out = run("garside", paths["gar3"])
     assert "delta: x z y" in out and "square-free elements: 8" in out
@@ -172,6 +181,22 @@ def test_confluence_failure(tmp_path):
     exit_code, output = invoke(["confluence", str(path), "--samples", "0", "--max-exp", "1"])
     assert exit_code == 1
     assert "unresolved" in output
+
+
+def test_confluence_report_lists_divergent_samples(tmp_path):
+    from corrupt import broken_g
+    path = tmp_path / "broken_g.json"
+    path.write_text(dump_graph(broken_g()))
+    exit_code, output = invoke(["confluence", str(path), "--max-support", "2",
+                                "--max-exp", "1", "--samples", "40"])
+    assert exit_code == 1
+    lines = output.splitlines()
+    at = lines.index("random pilings checked: 40, divergent: 2")
+    assert lines[at + 1:] == [
+        "  ((('z3', 1),), (('x', -1), ('z1', -1)), (('y', -1),), (('z3', -1),))"
+        " reached 4 distinct irreducible forms",
+        "  ((('y', -1), ('z2', 1)), (('x', -1), ('y', -1))) reached 2 distinct irreducible forms",
+    ]
 
 
 @pytest.mark.parametrize("graph, bound", [

@@ -118,3 +118,22 @@ def test_parabolic_over_lazy_graph():
     elt = element_from_text(g, "0 -1")
     assert member(elt, sub)
     assert not member(element_from_text(g, "5"), sub)
+
+
+def test_parabolic_subgraphs_are_values(j4):
+    a = parabolic_subgraph(j4, {"[1,2]", "[2,3]", "[3,4]"})
+    b = parabolic_subgraph(j4, {"[1,2]", "[1,4]", "[3,4]"})
+    again = parabolic_subgraph(j4, list(a.vertices))
+    assert a == again and hash(a) == hash(again) and a != b
+    assert a != parabolic_subgraph(cactus(4), a.vertices)     # another parent
+    assert a.__eq__(a.vertices) is NotImplemented
+    assert intersect(a, b) == parabolic_subgraph(j4, a.vertices & b.vertices)
+    assert len({a, again, b}) == 2
+    with pytest.raises(AttributeError, match="ParabolicSubgraph is immutable"):
+        a.vertices = frozenset()
+    assert a.graph() is a.graph()
+    # one vertex: a frozenset's print order depends on the hash seed
+    assert repr(parabolic_subgraph(j4, {"[1,2]"})) == (
+        "ParabolicSubgraph(parent=<TrickleGraph 'cactus(4)': 6 vertices>, "
+        "vertices=frozenset({'[1,2]'}))")
+    assert repr(f_graph()) == "<TrickleGraph 'thompson-f': lazy>"
