@@ -38,6 +38,7 @@ forms as evidence.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
 from collections import namedtuple
@@ -167,9 +168,10 @@ class _Reducer:
     A piling is held as a tuple of stratum ids of a ``pilings._StepTable``
     of the reducer's own: the graph's shared table may be replaced by a
     ``normalize`` call partway through a check.  ``of_stratum`` takes a
-    name stratum to kernel ids once.  Products run the junction pass of
-    ``pilings.product`` on those tuples with the table's moves, so a
-    product that was never computed still finds most of its moves by one
+    name stratum to kernel ids; ``check_critical_pairs`` memoizes it and
+    the pushes in ``functools.cache`` locals.  Products run the junction
+    pass of ``pilings.product`` on those tuples with the table's moves, so
+    a product that was never computed still finds most of its moves by one
     row lookup.
     The products are memoized by row: ``_rows[i]`` maps j to the id of
     i * j, so ``mult_row`` reads many products of one left factor with
@@ -178,7 +180,6 @@ class _Reducer:
 
     def __init__(self, graph):
         self.table = _StepTable(graph.kernel())
-        self._of = {}
         self._ids = {(): 0}
         self._pilings = [()]
         self._rows = [{}]
@@ -195,11 +196,8 @@ class _Reducer:
     def of_stratum(self, U):
         """Id of the piling of the name stratum U, read as ``normalize`` reads
         it: exponents mod mu, so () when every syllable vanishes."""
-        i = self._of.get(U)
-        if i is None:
-            S = _kernel_stratum(self.table.kernel, U)
-            i = self._of[U] = self.intern((self.table.sid(S),) if S else ())
-        return i
+        S = _kernel_stratum(self.table.kernel, U)
+        return self.intern((self.table.sid(S),) if S else ())
 
     def mult(self, i, j):
         row = self._rows[i]
@@ -300,20 +298,10 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
     """
     report = ConfluenceReport()
     r = _Reducer(graph)
-    mult, mult_row, of = r.mult, r.mult_row, r.of_stratum
-    added, removed = {}, {}
-
-    def add(U, g):
-        i = added.get((U, g))
-        if i is None:
-            i = added[U, g] = of(_stratum_add(graph, U, g))
-        return i
-
-    def remove(V, y):
-        i = removed.get((V, y))
-        if i is None:
-            i = removed[V, y] = of(stratum_remove(V, y))
-        return i
+    # local memos: a cache on the reducer would form a cycle through its bound method
+    mult, mult_row, of = r.mult, r.mult_row, functools.cache(r.of_stratum)
+    add = functools.cache(lambda U, g: of(_stratum_add(graph, U, g)))
+    remove = functools.cache(lambda V, y: of(stratum_remove(V, y)))
 
     def record(pair):
         report.failures.append((pair, *(normalize(graph, p) for p in _successors(graph, pair))))

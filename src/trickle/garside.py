@@ -149,8 +149,6 @@ def lcm_bruteforce(a: GroupElement, b: GroupElement, max_len: int):
     up to max_len.
     """
     graph = a.graph
-    _as_positive(a)
-    _as_positive(b)
     start = max(letter_length(a), letter_length(b))
     for length in range(start, max_len + 1):
         bounds = [c for c in positive_elements_of_length(graph, length)

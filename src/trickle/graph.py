@@ -82,14 +82,6 @@ class ValidationReport(SimpleNamespace):
         return "\n".join(str(v) for v in self.violations)
 
 
-def _default_parse(token):
-    return token
-
-
-def _default_format(vertex):
-    return vertex if isinstance(vertex, str) else str(vertex)
-
-
 def _cycles(table):
     """y -> (cycle of y under the permutation ``table``, index of y in it)."""
     out = {}
@@ -274,15 +266,15 @@ class TrickleGraph:
             else:
                 phi_bad[x] = _not_a_bijection(x, table, star, verts)
 
-        self._finite = True
+        self.finite = True
         self._mu = mu_map
         self._adj = {v: frozenset(s) for v, s in adj.items()}
         self._phi = phi_tab
         self._phi_bad = phi_bad
         self._cycles = cycles    # sound maps only
         self.name = name
-        self.parse_vertex = parse_vertex or _default_parse
-        self.format_vertex = format_vertex or _default_format
+        self.parse_vertex = parse_vertex or str
+        self.format_vertex = format_vertex or str
 
         if ranking is None:
             key = self.format_vertex
@@ -322,14 +314,14 @@ class TrickleGraph:
         |a| within LAZY_POWER_CAP, as the image's size may grow with |a|.
         """
         self = object.__new__(cls)
-        self._finite = False
+        self.finite = False
         self.vertices = None
         self._mu_constant = mu
         self._phi_pow_fn = phi_pow
         self._contains = contains
         self.name = name
-        self.parse_vertex = parse_vertex or _default_parse
-        self.format_vertex = format_vertex or _default_format
+        self.parse_vertex = parse_vertex or str
+        self.format_vertex = format_vertex or str
         self._dual = None
         self._kernel = None
         return self
@@ -337,29 +329,25 @@ class TrickleGraph:
     # ------------------------------------------------------------------
     # queries
 
-    @property
-    def finite(self):
-        return self._finite
-
     def kernel(self):
         """The ``Kernel`` of a finite graph, compiled at first use; None if lazy."""
-        if self._kernel is None and self._finite:
+        if self._kernel is None and self.finite:
             self._kernel = Kernel(self)
         return self._kernel
 
     def contains_vertex(self, v) -> bool:
-        if self._finite:
+        if self.finite:
             return v in self._rank
         return self._contains(v)
 
     def edge(self, x, y) -> bool:
-        if self._finite:
+        if self.finite:
             return y in self._adj[x]
         return x != y
 
     def less(self, x, y) -> bool:
         """Strict order: x < y."""
-        if self._finite:
+        if self.finite:
             return y in self._up[x]
         return x < y
 
@@ -370,15 +358,15 @@ class TrickleGraph:
         return x != y and not self.less(x, y) and not self.less(y, x)
 
     def mu(self, x):
-        return self._mu[x] if self._finite else self._mu_constant
+        return self._mu[x] if self.finite else self._mu_constant
 
     def star(self, x):
-        if not self._finite:
+        if not self.finite:
             raise GraphError("star enumeration needs a finite graph")
         return self._adj[x] | {x}
 
     def phi(self, x, y):
-        if self._finite:
+        if self.finite:
             try:
                 return self._phi[x][y]
             except KeyError:
@@ -391,7 +379,7 @@ class TrickleGraph:
 
     def phi_order(self, x) -> int:
         """Order of phi_x as a permutation of the (finite) star."""
-        if not self._finite:
+        if not self.finite:
             raise GraphError("phi_order needs a finite graph")
         bad = self._phi_bad.get(x, f"unknown vertex {x!r}")
         if bad:
@@ -402,7 +390,7 @@ class TrickleGraph:
         """phi_x^a(y), for any integer a."""
         if a == 0:
             return y
-        if self._finite:
+        if self.finite:
             try:
                 cycle, i = self._cycles[x][y]
             except KeyError:
@@ -417,12 +405,12 @@ class TrickleGraph:
 
     def sort_key(self, v):
         """Key whose descending order is the normal-form order on vertices."""
-        if self._finite:
+        if self.finite:
             return self._rank[v]
         return v
 
     def complete(self) -> bool:
-        if not self._finite:
+        if not self.finite:
             raise GraphError("completeness check needs a finite graph")
         n = len(self.vertices)
         return all(len(self._adj[v]) == n - 1 for v in self.vertices)
@@ -434,7 +422,7 @@ class TrickleGraph:
         """The ``build`` arguments ``(vertices, mu, edges, less, phi)`` of a
         finite graph: vertices in ranking order, each edge once, the closed
         order, and in ``phi`` only the entries that move."""
-        if not self._finite:
+        if not self.finite:
             raise GraphError(f"{self.name} is lazy and has no tables")
         rank = self._rank.__getitem__
         edges = [(x, y) for x in self.vertices
@@ -454,7 +442,7 @@ class TrickleGraph:
         if self._dual is not None:
             return self._dual
         name = f"dual({self.name})"
-        if self._finite:
+        if self.finite:
             for x in self.vertices:
                 if self._phi_bad[x]:
                     raise GraphError(self._phi_bad[x])
@@ -475,12 +463,12 @@ class TrickleGraph:
 
     def same_structure(self, other) -> bool:
         """Structural equality of finite graphs (tables and ranking)."""
-        if not (isinstance(other, TrickleGraph) and self._finite and other._finite):
+        if not (isinstance(other, TrickleGraph) and self.finite and other.finite):
             return self is other
         return self.tables() == other.tables()
 
     def __repr__(self):
-        if self._finite:
+        if self.finite:
             return f"<TrickleGraph {self.name!r}: {len(self.vertices)} vertices>"
         return f"<TrickleGraph {self.name!r}: lazy>"
 

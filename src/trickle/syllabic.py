@@ -25,7 +25,7 @@ engine, ``syllabic_reduce`` is no independent check of it;
 from __future__ import annotations
 
 from .graph import GraphError
-from .pilings import canonical_exponent, from_syllables, make_syllable, nf_letters, parse_word
+from .pilings import canonical_exponent, from_syllables, nf_letters
 from .pilings import format_word as format_syllabic  # the name perfbench/workloads.py calls
 
 DEFAULT_ORBIT_BOUND = 10 ** 5
@@ -33,11 +33,6 @@ DEFAULT_ORBIT_BOUND = 10 ** 5
 
 class OrbitBoundExceeded(RuntimeError):
     """The exchange orbit grew past the caller's bound."""
-
-
-def parse_syllabic(graph, text: str):
-    """Tokens v or v^k, one syllable per token, exponents made canonical."""
-    return tuple(make_syllable(graph, v, k) for v, k in parse_word(graph, text))
 
 
 def apply_merge(graph, word, position):

@@ -20,6 +20,7 @@ subgroup on the consecutive tuples.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import reprlib
 from collections import namedtuple
@@ -129,20 +130,36 @@ def vjn_encode(n: int, word) -> VjnElement:
     An interval generator contributes the kernel generator of its tuple
     translated by the permutation accumulated so far; a transposition
     multiplies the permutation on the right, which swaps two of its
-    entries.  The kernel syllables are normalized once, at the end.
+    entries.  The kernel syllables are normalized once, at the end.  A
+    word is text or a list of tokens ("x", p, q) and ("r", i); any other
+    token raises ``GraphError``.
     """
     if isinstance(word, str):
         word = parse_vjn_word(n, word)
     sylls = []
     perm = list(perm_identity(n))
     for tok in word:
-        if tok[0] == "r":
-            i = tok[1]
+        # positions are read as pilings._exponent reads exponents; ints skip
+        # operator.index, which would otherwise run on every token
+        try:
+            kind = tok[0]
+            if kind == "r":
+                _, i = tok
+                i = i if type(i) is int else operator.index(i)
+            elif kind == "x":
+                _, p, q = tok
+                if type(p) is not int or type(q) is not int:
+                    p, q = operator.index(p), operator.index(q)
+            else:
+                raise ValueError(kind)
+        except (TypeError, ValueError, LookupError):
+            raise GraphError(f"bad token {reprlib.repr(tok)}; "
+                             "expected ('x', p, q) or ('r', i)") from None
+        if kind == "r":
             if not 1 <= i <= n - 1:
                 raise GraphError(f"r{i} is out of range for n = {n}")
             perm[i - 1], perm[i] = perm[i], perm[i - 1]
         else:
-            _, p, q = tok
             if not 1 <= p < q <= n:
                 raise GraphError(f"{reprlib.repr(f'x[{p},{q}]')} is out of range for n = {n}")
             sylls.append((tuple(perm[p - 1:q]), 1))

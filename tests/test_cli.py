@@ -128,10 +128,13 @@ def test_tits_reduce_reads_exponents_mod_mu(paths):
     assert out == "error: zero exponent in token '[1,2]^0'\n"
 
 
-def test_garside(paths):
+def test_garside(paths, tmp_path):
     out = run("garside", paths["gar3"])
     assert "delta: x z y" in out and "square-free elements: 8" in out
     run("garside", paths["j3"], code=2)
+    path = tmp_path / "p3.json"
+    path.write_text(run("example", "raag", "--n", "3"))
+    assert run("garside", str(path), code=1) == "not Garside: the graph is not finite and complete\n"
 
 
 def test_divisors(paths):
@@ -330,6 +333,7 @@ HUGE_DENOMINATOR = str(decimal.Context(prec=5000).power(2, 15000))
     ["example", "raag", "--n", "0"],
     ["example", "racg", "--n", "-1", "--cycle"],
     ["example", "kjn", "--n", "7"],
+    ["example", "gp"],
     ["vjn", "eq", "--n", "7", "r1", "r1"],
     ["example", "cactus", "--n", "200"],
     ["example", "raag", "--n", "10000"],
@@ -341,7 +345,7 @@ HUGE_DENOMINATOR = str(decimal.Context(prec=5000).power(2, 15000))
     [SWEEP, LONG_ID],
 ], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "f-nf-huge-denominator",
         "eq-unknown-token", "example-raag-n-0", "example-racg-cycle-n-negative",
-        "example-kjn-n-7", "vjn-eq-n-7", "example-cactus-n-200", "example-raag-n-10000",
+        "example-kjn-n-7", "example-gp-no-base", "vjn-eq-n-7", "example-cactus-n-200", "example-raag-n-10000",
         "f-nf-power-past-the-cap", "f-nf-huge-numerator", "divisors-not-positive-long-id",
         "example-unknown-family-long", "nf-extra-argument-long", "sweep-unknown-fixture-long"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
@@ -464,6 +468,16 @@ def test_validate_output_ignores_the_hash_seed(tmp_path):
     runs = [_python("-m", "trickle.cli", "validate", str(path), PYTHONHASHSEED=str(seed))
             for seed in range(4)]
     assert runs[0].returncode == 2 and "structural error" in runs[0].stdout
+    assert all(r.stdout == runs[0].stdout and r.stderr == runs[0].stderr for r in runs)
+    # the confluence report's witnesses and reached forms are pilings built
+    # through sets
+    from corrupt import broken_g
+    path = tmp_path / "broken_g.json"
+    path.write_text(dump_graph(broken_g()))
+    runs = [_python("-m", "trickle.cli", "confluence", str(path), "--max-support", "2",
+                    "--max-exp", "1", "--samples", "40", PYTHONHASHSEED=str(seed))
+            for seed in range(4)]
+    assert runs[0].returncode == 1 and "reached" in runs[0].stdout
     assert all(r.stdout == runs[0].stdout and r.stderr == runs[0].stderr for r in runs)
 
 

@@ -244,6 +244,20 @@ def test_theta_cube(g3):
     assert any(v.axiom == "cube-coherence" for v in report.violations)
 
 
+def test_theta_cube_reports_a_complement_defined_off_a_triangle():
+    # phi_x swaps b and c, but only b-d is an edge: x * d is defined from
+    # the side of b and not of c
+    g = TrickleGraph.build(["x", "b", "c", "d"], INFINITY,
+                           edges=[("x", "b"), ("x", "c"), ("x", "d"), ("b", "d")],
+                           less=[("b", "x"), ("c", "x"), ("d", "x")],
+                           phi={"x": {"b": "c", "c": "b"}})
+    report = gar.theta_cube_check(g)
+    assert report.axioms_violated() == ["cube-definedness"]
+    assert str(report.violations[0]) == ("axiom (cube-definedness) at ('b', 'x', 'd'): one side "
+                                         "of the cube is defined without a full triangle")
+    assert len(report.violations) == 8
+
+
 def _renamed(graph, old, new):
     """The same graph with the vertex ``old`` called ``new``."""
     def r(v):

@@ -361,6 +361,20 @@ def test_spot_check_samples_the_power_law():
     assert any("is not phi_" in v.detail for v in report.violations)
 
 
+def test_spot_check_reports_a_phi_inv_that_does_not_undo_phi():
+    q = affine_quandle_graph()
+    g = TrickleGraph.lazy(mu=INFINITY, phi_pow=lambda x, a, y: q.phi_pow(x, abs(a), y),
+                          contains=q.contains_vertex, name="no inverse")
+    x, y, z = Dyadic(0), Dyadic(1, 1), Dyadic(1)
+    report = spot_check(g, [(x, y, z)])
+    assert report.describe().splitlines() == [
+        f"structural error at {(y, x)}: phi_inv does not undo phi",
+        f"structural error at {(z, x)}: phi_inv does not undo phi",
+        f"structural error at {(z, y)}: phi_inv does not undo phi"]
+    with pytest.raises(GraphError, match="^'x' is not a vertex of no inverse$"):
+        spot_check(g, [(x, y, "x")])
+
+
 def test_spot_check_vacuous():
     report = spot_check(f_graph(), [])
     assert report.ok

@@ -59,6 +59,9 @@ def test_intersect(j3):
     p3 = parabolic_subgraph(j3, {B})
     assert intersect(p1, p3).vertices == {B}
     assert intersect(p3, parabolic_subgraph(j3, {C})).vertices == frozenset()
+    # an equal graph built apart is another parent
+    with pytest.raises(GraphError, match="^parabolic subgraphs of different parents$"):
+        intersect(p1, parabolic_subgraph(cactus(3), {B, C}))
 
 
 def test_induced_graph_is_valid(j4):

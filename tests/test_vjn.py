@@ -70,6 +70,20 @@ def test_encode_refuses_intervals_out_of_range(p, q):
         vjn_equal(2, [("x", p, q)], [("x", 1, 2)])
 
 
+@pytest.mark.parametrize("tok", [("y", 1, 2), ("x", 1.0, 2), ("r", 1.0), ("r",), ("x", 1),
+                                 ("x", 1, 2, 3), ("r", 1, 2), ("r", 5.0), (), "r1", None])
+def test_encode_refuses_malformed_tokens(tok):
+    with pytest.raises(GraphError, match=r"^bad token .*; expected \('x', p, q\) or \('r', i\)$"):
+        vjn_encode(3, [tok])
+    with pytest.raises(GraphError):
+        vjn_equal(3, [tok], [("x", 1, 2)])
+
+
+def test_encode_reads_positions_through_index():
+    # as exponents are read: True is the position 1, and lists are tokens
+    assert vjn_encode(3, [("x", True, 3), ("r", True)]) == vjn_encode(3, [["x", 1, 3], ["r", 1]])
+
+
 def _word(tokens):
     return " ".join(tokens)
 
