@@ -121,7 +121,6 @@ def table_at_bound(name, seed):
     """Fill the step table of a fresh copy of fixture ``name`` with seeded
     words until the bound replaces it or TABLE_WORDS words have run."""
     g = fixture(name)
-    g = g.with_ranking(g.vertices)     # kjn_graph's graphs are shared
     kernel = g.kernel()
     rng = random.Random(f"{seed}:table:{name}")
     words = [random_word(g, rng, TABLE_LETTERS) for _ in range(TABLE_WORDS)]
@@ -153,9 +152,7 @@ def wordproblem_passes(seed):
     real, kernels, retired, replaced = pilings._table, set(), Counter(), Counter()
 
     def counting_table(kernel):
-        if kernel not in kernels:      # kjn_graph's graphs are shared: start them empty too
-            kernels.add(kernel)
-            kernel.table = None
+        kernels.add(kernel)
         old = kernel.table
         table = real(kernel)
         if old is not None and table is not old:

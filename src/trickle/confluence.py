@@ -20,16 +20,20 @@ holds pilings as tuples of stratum ids of one ``pilings._StepTable``,
 the id step table ``normalize`` keeps per finite graph, and reduces them
 with its moves, so a product that was never computed still finds most
 of its moves by one row lookup.  Its products are memoized by row, one
-dict per left factor, so a row of products is read in one pass.  In a
-C2 unit each distinct left-hand product has its row of products with
-the incoming strata read once, and each right-hand row forms its inner
-products once per distinct middle stratum V + gz before reading the
-outer products from their rows; the rows are compared as a whole.
-The strategy-independence check holds strata as ints for one call and
-searches the landing pushes of each pair of them once.  The strategies
-of one piling walk one move graph, built as their draws first take each
-move, so a piling an earlier strategy reached is stepped through by
-lookups; the draws are those of a fresh search at every step.
+dict per piling from the first time it is a left factor, so a row of
+products is read in one pass and its misses are computed in one loop; a
+product whose junction pair the table shows irreducible is its two
+factors side by side, with no pass at all.  In a C2 unit each distinct
+left-hand product has its row of products with the incoming strata read
+once, and each right-hand row forms its inner products once per
+distinct middle stratum V + gz before reading the outer products from
+their rows; the rows are compared as a whole.
+The strategy-independence check holds strata as ints for one call,
+extracts the movers of each of them once and searches the landing
+pushes of each pair of them once.  The strategies of one piling walk
+one move graph, built as their draws first take each move, so a piling
+an earlier strategy reached is stepped through by lookups; the draws
+are those of a fresh search at every step.
 ``resolve`` and the failure witnesses both ``normalize`` the two
 successors, so a False answer always comes with two distinct irreducible
 forms as evidence.
@@ -45,15 +49,15 @@ from collections import namedtuple
 from types import SimpleNamespace
 
 from .graph import INFINITY, GraphError
-from .pilings import (_StepTable, _join, _kernel_stratum, _stratum_add, normalize,
-                      push_syllable, sort_stratum, stratum_can_add, stratum_extract,
-                      stratum_remove)
+from .pilings import (_UNSEEN, _StepTable, _kernel_stratum, _settle, _stratum_add,
+                      normalize, push_syllable, sort_stratum, stratum_can_add,
+                      stratum_extract, stratum_remove)
 
 
 # Most strata one enumeration may build.  The work grows much faster than the
 # strata: on a 2-core x86-64 host, KJ4 at support 3 and exponent 2 has 361
-# strata and 1.5M pairs, checked in 3-4 s and 150 MB max RSS, and RAAG-C6 at
-# (2, 4) has 433 strata and 35M pairs, checked in 15-21 s and 340 MB.
+# strata and 1.5M pairs, checked in 1.8-2.6 s and 125 MB max RSS, and RAAG-C6
+# at (2, 4) has 433 strata and 35M pairs, checked in 12-16 s and 310 MB.
 MAX_STRATA = 500
 
 
@@ -169,28 +173,31 @@ class _Reducer:
     of the reducer's own: the graph's shared table may be replaced by a
     ``normalize`` call partway through a check.  ``of_stratum`` takes a
     name stratum to kernel ids; ``check_critical_pairs`` memoizes it and
-    the pushes in ``functools.cache`` locals.  Products run the junction
-    pass of ``pilings.product`` on those tuples with the table's moves, so
-    a product that was never computed still finds most of its moves by one
-    row lookup.
+    the pushes in ``functools.cache`` locals.
     The products are memoized by row: ``_rows[i]`` maps j to the id of
-    i * j, so ``mult_row`` reads many products of one left factor with
-    one dict lookup each and no call per product.
+    i * j.  A piling gets its row when it is first a left factor, and most
+    pilings never are one (at (3, 2), 1,394 of J5's 14,500 and 11,965 of
+    KJ4's 386,521), so the products a check only compares hold no row.
+    ``mult_row`` reads many products of one left factor with one dict
+    lookup each and computes and interns the missing ones in one loop,
+    with no call per product: when one read of the table's rows shows the
+    junction pair irreducible, the product is the two factors side by
+    side; otherwise it runs the junction pass of ``pilings.product`` on
+    the tuples with the table's moves, so a product that was never
+    computed still finds most of its moves by one row lookup.
     """
 
     def __init__(self, graph):
         self.table = _StepTable(graph.kernel())
         self._ids = {(): 0}
         self._pilings = [()]
-        self._rows = [{}]
+        self._rows = {}
 
     def intern(self, piling):
         i = self._ids.get(piling)
         if i is None:
-            i = len(self._pilings)
-            self._ids[piling] = i
+            i = self._ids[piling] = len(self._pilings)
             self._pilings.append(piling)
-            self._rows.append({})
         return i
 
     def of_stratum(self, U):
@@ -200,21 +207,44 @@ class _Reducer:
         return self.intern((self.table.sid(S),) if S else ())
 
     def mult(self, i, j):
-        row = self._rows[i]
-        out = row.get(j)
-        if out is None:
-            table = self.table
-            out = row[j] = self.intern(_join(table, self._pilings[i], self._pilings[j],
-                                             table.rows))
-        return out
+        """Id of the product of the pilings with ids i and j."""
+        row = self._rows.get(i)
+        out = None if row is None else row.get(j)
+        return self.mult_row(i, (j,))[0] if out is None else out
 
     def mult_row(self, i, js):
         """``[self.mult(i, j) for j in js]``, reading the known products of
-        row i in one pass and computing only the others through ``mult``."""
-        out = list(map(self._rows[i].get, js))
+        row i in one pass and computing the others in one loop."""
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = {}
+        out = list(map(row.get, js))
         if None in out:
-            mult = self.mult
-            out = [mult(i, j) if k is None else k for j, k in zip(js, out)]
+            # the bodies of _join and intern, inline: no call per missing product
+            table, ids, pilings = self.table, self._ids, self._pilings
+            left = pilings[i]
+            junction = table.rows[left[-1]] if left else None
+            for n, k in enumerate(out):
+                if k is not None:
+                    continue
+                j = js[n]
+                k = row.get(j)      # js may repeat a miss
+                if k is None:
+                    right = pilings[j]
+                    if not (left and right):
+                        k = j if right else i
+                    else:
+                        if junction.get(right[0], _UNSEEN) is None:
+                            p = left + right
+                        else:
+                            p = _settle(table, list(left + right), len(left) - 1, len(left),
+                                        table.rows)
+                        k = ids.get(p)
+                        if k is None:
+                            k = ids[p] = len(pilings)
+                            pilings.append(p)
+                    row[j] = k
+                out[n] = k
         return out
 
 
@@ -294,8 +324,11 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
     pairs are grouped by V2 so that each group is one row read.  Rows that
     differ are walked in incoming order, so failures come in pair order.  A
     failure's witness is the irreducible form of each of its two successors.
-    One step table, the reducer's, serves the whole check.
+    One step table, the reducer's, serves the whole check.  The check stops
+    at ``fail_limit`` failures, which must be at least 1.
     """
+    if fail_limit < 1:
+        raise GraphError(f"fail_limit must be at least 1, got {fail_limit}")
     report = ConfluenceReport()
     r = _Reducer(graph)
     # local memos: a cache on the reducer would form a cycle through its bound method
@@ -401,9 +434,13 @@ class _Moves:
     """The moves of random strategies within one call, on strata held as ints.
 
     ``names[u]`` is the stratum with id u; id 0 is the empty stratum.  A
-    piling is held as its key, the tuple of its stratum ids.  ``pushes``
-    maps a pair of ids to the id pairs its landing pushes leave, in
-    syllable order.
+    piling is held as its key, the tuple of its stratum ids.  ``movers``
+    maps a stratum's id to its syllables in order, each extracted past the
+    ones above it and paired with the id of the stratum left without it;
+    ``pushes`` maps a pair of ids to the id pairs its landing pushes leave,
+    one for each mover of the right stratum that lands in the left one.
+    Both work on vertex names, so the check does not lean on the kernel's
+    step table that it tests.
 
     A walk reads and extends a move graph ``seen``: each piling met maps
     to its node ``(key, count, empties, ends, landings, nexts)``.  Its
@@ -418,7 +455,8 @@ class _Moves:
     """
 
     def __init__(self, graph):
-        self.graph, self.ids, self.names, self.pushes = graph, {(): 0}, [()], {}
+        self.graph, self.ids, self.names = graph, {(): 0}, [()]
+        self.movers, self.pushes = {}, {}
 
     def sid(self, U):
         u = self.ids.get(U)
@@ -447,13 +485,14 @@ class _Moves:
         return node
 
     def _landings(self, pair):
-        U, V = self.names[pair[0]], self.names[pair[1]]
-        ts = []
-        for s in V:
-            t = push_syllable(self.graph, U, V, s)
-            if t is not None:
-                ts.append((self.sid(t[0]), self.sid(t[1])))
-        ts = self.pushes[pair] = tuple(ts)
+        graph, U, v = self.graph, self.names[pair[0]], pair[1]
+        movers = self.movers.get(v)
+        if movers is None:
+            V = self.names[v]
+            movers = self.movers[v] = [(stratum_extract(graph, V, s),
+                                        self.sid(stratum_remove(V, s))) for s in V]
+        ts = self.pushes[pair] = tuple([(self.sid(_stratum_add(graph, U, g)), w)
+                                        for g, w in movers if stratum_can_add(graph, U, g)])
         return ts
 
     def walk(self, seen, key, rng):

@@ -18,7 +18,7 @@ import reprlib
 from .dyadic import Dyadic
 from .graph import INFINITY, GraphError, TrickleGraph
 from .thompson import f_graph
-from .vjn import kjn_graph
+from .vjn import build_kjn_graph, kjn_graph
 
 
 def path_graph(n: int):
@@ -145,9 +145,10 @@ FIXTURES = {
     "RACG-C6": lambda: racg(*cycle_graph(6), name="racg-c6"),
     "RAAG-P6": lambda: raag(*path_graph(6), name="raag-p6"),
     "RAAG-C6": lambda: raag(*cycle_graph(6), name="raag-c6"),
-    "KJ2": lambda: kjn_graph(2),
-    "KJ3": lambda: kjn_graph(3),
-    "KJ4": lambda: kjn_graph(4),
+    # a graph of its own, as every fixture gives: kjn_graph's cache is vjn's
+    "KJ2": lambda: build_kjn_graph(2),
+    "KJ3": lambda: build_kjn_graph(3),
+    "KJ4": lambda: build_kjn_graph(4),
 }
 
 LAZY_FIXTURES = {

@@ -288,7 +288,7 @@ def _table_step(table, u, v):
     """``_kernel_step`` at the strata with ids u and v, its strata interned."""
     t = _kernel_step(table.kernel, table.strata[u], table.strata[v])
     table.moves += 1
-    return t and tuple([table.sid(S) for S in t])
+    return t and tuple(map(table.sid, t))
 
 
 # Splitting short words costs more than it saves on KJ4, RAAG-C6 and

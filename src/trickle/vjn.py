@@ -67,8 +67,7 @@ def _parse_tuple(token: str) -> tuple:
         raise GraphError(f"bad tuple token {reprlib.repr(token)}") from None
 
 
-@lru_cache(maxsize=None)
-def kjn_graph(n: int) -> TrickleGraph:
+def build_kjn_graph(n: int) -> TrickleGraph:
     """Tuples of 2..n distinct points of {1..n}, ordered by contiguous
     inclusion, adjacent when comparable or disjoint, label 2 everywhere,
     the star map reflecting a subtuple's position block."""
@@ -91,6 +90,10 @@ def kjn_graph(n: int) -> TrickleGraph:
                               name=f"kj{n}",
                               parse_vertex=_parse_tuple,
                               format_vertex=_tuple_token)
+
+
+# One graph per n, so vjn_encode and vjn_equal share its kernel and step table.
+kjn_graph = lru_cache(maxsize=None)(build_kjn_graph)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from corrupt import broken_a, broken_b, broken_c, broken_d, broken_e, broken_f, 
 from trickle import confluence as conf
 from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
 from trickle.graph import INFINITY, GraphError, TrickleGraph
-from trickle.pilings import _LEAF, make_stratum, normalize, push_syllable
+from trickle.pilings import _LEAF, make_stratum, normalize, product, push_syllable
 
 A, B, C = "[1,3]", "[1,2]", "[2,3]"
 
@@ -119,8 +119,15 @@ def as_strata(reducer, ids):
     return [tuple(reducer.table.strata[u] for u in reducer._pilings[k]) for k in ids]
 
 
-def test_mult_row_reads_as_mult():
-    g = fixture("J4")
+def as_names(g, reducer, k):
+    """The piling behind the interned id k, in vertex names."""
+    return tuple(tuple((g.vertices[x], a) for x, a in S) for S in as_strata(reducer, [k])[0])
+
+
+@pytest.mark.parametrize("make", [lambda: fixture("J4"), gar3, broken_d, broken_g],
+                         ids=["J4", "GAR3", "broken_d", "broken_g"])
+def test_mult_row_reads_as_mult(make):
+    g = make()
     cold, warm = conf._Reducer(g), conf._Reducer(g)
     ids = [warm.of_stratum(U) for U in conf.enumerate_strata(g, 2, 1)]
     assert [cold.of_stratum(U) for U in conf.enumerate_strata(g, 2, 1)] == ids
@@ -128,13 +135,32 @@ def test_mult_row_reads_as_mult():
         for j in ids[::2]:
             warm.mult(i, j)
     js = ids + [0, ids[3], 0, ids[1]]
-    for i in [0] + ids:
+    for i in [0] + ids + [warm.mult(ids[-1], ids[-2]), warm.mult(ids[-2], ids[-1])]:
         expected = [warm.mult(i, j) for j in js]
         assert warm.mult_row(i, js) == expected
         row = cold.mult_row(i, js)
         assert as_strata(cold, row) == as_strata(warm, expected)
         assert cold.mult_row(i, js) == row == [cold.mult(i, j) for j in js]
+        # the reference: the junction pass of ``product``, on names with fresh searches
+        for j, k in zip(js, row):
+            assert as_names(g, cold, k) == product(g, as_names(g, cold, i), as_names(g, cold, j))
     assert warm.mult_row(ids[2], []) == []
+
+
+def test_a_product_never_a_left_factor_has_no_row():
+    g = fixture("J4")
+    r = conf._Reducer(g)
+    a, b = (r.of_stratum(U) for U in conf.enumerate_strata(g, 1, 1)[1:3])
+    ab = r.mult(a, b)
+    assert ab not in (a, b) and list(r._rows) == [a] and r._rows[a] == {b: ab}
+    r.mult_row(ab, [a])
+    assert list(r._rows) == [a, ab]
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_fail_limit_below_one_is_refused(limit):
+    with pytest.raises(GraphError, match=f"^fail_limit must be at least 1, got {limit}$"):
+        conf.check_critical_pairs(broken_g(), 2, 1, fail_limit=limit)
 
 
 def test_corrupted_graph_fails_with_witness():

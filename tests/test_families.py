@@ -3,7 +3,7 @@ import random
 import pytest
 
 from trickle.dyadic import Dyadic
-from trickle.families import (affine_quandle_graph, cactus, cycle_graph,
+from trickle.families import (FIXTURES, affine_quandle_graph, cactus, cycle_graph,
                               dual_cactus_s3, fixture, gar3, graph_product,
                               interval_id, path_graph, raag, racg)
 from trickle.graph import GraphError, INFINITY, validate
@@ -132,3 +132,11 @@ def test_fixture_registry():
     assert fixture("KJ3").name == "kj3"
     with pytest.raises(GraphError):
         fixture("nope")
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_each_fixture_call_builds_a_graph_of_its_own(name):
+    # a shared graph would share its kernel and step table with every caller
+    g, h = fixture(name), fixture(name)
+    assert g is not h and g.kernel() is not h.kernel()
+    assert g.vertices == h.vertices

@@ -56,3 +56,17 @@ def test_tracer_installs_and_uninstalls_cleanly():
         tracer.uninstall()
     after = _bindings(lib)
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_every_fixture_builds_under_the_tracer():
+    # a traced benchmark run builds its fixtures after the tracer is installed
+    tracing = _load_tracing()
+    lib = SimpleNamespace(**{m: importlib.import_module(f"trickle.{m}") for m in MODULES})
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, lib)
+        for name in lib.families.FIXTURES:
+            g, h = lib.families.fixture(name), lib.families.fixture(name)
+            assert g is not h and g.vertices == h.vertices
+    finally:
+        tracer.uninstall()
