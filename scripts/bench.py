@@ -27,13 +27,19 @@ the table just before, whether it reached the bound, and the most memory
 it held, traced by ``tracemalloc``.  Then one in-process run of two
 passes over the blocks of the perfbench ``wordproblem`` workload at this
 seed, the first on empty step tables: per graph and pass, the fresh pair
-searches (``_kernel_step`` calls), the tables replaced and the weighted
+searches (``_table_step`` calls), the tables replaced and the weighted
 entries at the end of the pass.  Then the integer kernel
 of ``kjn_graph(n)`` is compiled for n = 4..6; each row holds the best
 time and the number of table entries.  Last, the command line's cold
 start: ``python -m trickle.cli nf`` on GAR3 and ``f nf`` each run in
-COLD_STARTS fresh processes; each row holds the wall times in ms, not
-corrected, and their median.
+COLD_STARTS fresh processes; each row holds the wall times in ms and
+their median.
+
+Every time in the record is corrected for the speed of a shared host by
+the calibration probe of ``perfbench/calibration.py``, which runs in this
+process throughout; the field of the same name ending in ``_raw`` holds
+the uncorrected time (the probes inside the interval left out).  The
+step-table rows hold memory, traced by ``tracemalloc``, and no time.
 
     python3 scripts/bench.py --out BENCH_<n>.json
 """
@@ -58,6 +64,9 @@ from types import SimpleNamespace
 # time the checkout this script lives in, not an installed copy
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from calibration import Calibrator  # noqa: E402
 
 from trickle import pilings  # noqa: E402
 from trickle.confluence import check_critical_pairs, check_strategy_independence  # noqa: E402
@@ -93,23 +102,28 @@ def random_word(g, rng, length):
     return out
 
 
-def best_time(fn):
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+def timed(cal, fn):
+    """The corrected and raw seconds of one call of ``fn``, and its result."""
+    t0 = time.perf_counter()
+    out = fn()
+    corrected, raw = cal.correct(t0, time.perf_counter())
+    return corrected, raw, out
 
 
-def cold_time(g, fn):
-    """Seconds of ``fn(fresh)`` on a fresh copy of ``g`` with its kernel
-    compiled, so the step table starts empty; and the copy."""
+def best_time(cal, fn):
+    """The least corrected and the least raw seconds of REPEATS calls of
+    ``fn``, and the last result."""
+    runs = [timed(cal, fn) for _ in range(REPEATS)]
+    return min(c for c, _, _ in runs), min(r for _, r, _ in runs), runs[-1][2]
+
+
+def cold_time(cal, g, fn):
+    """Corrected and raw seconds of ``fn(fresh)`` on a fresh copy of ``g``
+    with its kernel compiled, so the step table starts empty; and the copy."""
     fresh = g.with_ranking(g.vertices)
     fresh.kernel()
-    t0 = time.perf_counter()
-    fn(fresh)
-    return time.perf_counter() - t0, fresh
+    corrected, raw, _ = timed(cal, lambda: fn(fresh))
+    return corrected, raw, fresh
 
 
 def weighted_entries(table):
@@ -145,7 +159,6 @@ def table_at_bound(name, seed):
 def wordproblem_passes(seed):
     """Fresh pair searches, tables replaced and weighted entries per graph and
     pass over the perfbench ``wordproblem`` blocks, run in this process."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import run
     from workloads import BUILDERS
     lib = SimpleNamespace(**{m: importlib.import_module(f"trickle.{m}") for m in run.MODULES})
@@ -186,17 +199,19 @@ def wordproblem_passes(seed):
     return out
 
 
-def cold_start_ms(args):
-    """Wall ms of COLD_STARTS fresh ``python -m trickle.cli`` runs of ``args``."""
+def cold_start_ms(cal, args):
+    """Corrected and raw wall ms of COLD_STARTS fresh ``python -m trickle.cli``
+    runs of ``args``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    times = []
+    times, raws = [], []
     for _ in range(COLD_STARTS):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "trickle.cli", *args], env=env, check=True,
-                       capture_output=True)
-        times.append(round((time.perf_counter() - t0) * 1000, 2))
-    return times
+        corrected, raw, _ = timed(cal, lambda: subprocess.run(
+            [sys.executable, "-m", "trickle.cli", *args], env=env, check=True,
+            capture_output=True))
+        times.append(round(corrected * 1000, 2))
+        raws.append(round(raw * 1000, 2))
+    return times, raws
 
 
 def digest(value):
@@ -213,22 +228,18 @@ def commit():
     return out.stdout.strip()
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--out", required=True, help="path of the JSON record")
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
-
+def measure(cal, seed):
+    """The record's rows, timed with the calibrator ``cal``."""
     rows = []
     for name in FIXTURES:
         g = fixture(name)
         for n in LETTERS:
-            word = random_word(g, random.Random(f"{args.seed}:{name}:{n}"), n)
-            cold, fresh = cold_time(g, lambda h: from_syllables(h, word))
-            best, nf = best_time(lambda: from_syllables(fresh, word).piling)
+            word = random_word(g, random.Random(f"{seed}:{name}:{n}"), n)
+            cold, cold_raw, fresh = cold_time(cal, g, lambda h: from_syllables(h, word))
+            best, best_raw, nf = best_time(cal, lambda: from_syllables(fresh, word).piling)
             rows.append({"fixture": name, "letters": n, "cold_s": round(cold, 6),
-                         "best_s": round(best, 6),
+                         "best_s": round(best, 6), "cold_s_raw": round(cold_raw, 6),
+                         "best_s_raw": round(best_raw, 6),
                          "strata_out": len(nf), "nf_digest": digest(nf)})
             print(f"{name:8} {n:>6} {cold * 1000:>10.1f} cold {best * 1000:>10.1f} ms",
                   flush=True)
@@ -236,48 +247,49 @@ def main():
     pairs = []
     for name in PAIR_FIXTURES:
         g = fixture(name)
-        t0 = time.perf_counter()
-        report = check_critical_pairs(g, *PAIR_BOUNDS)
-        seconds = time.perf_counter() - t0
+        seconds, raw, report = timed(cal, lambda: check_critical_pairs(g, *PAIR_BOUNDS))
         pairs.append({"fixture": name, "bounds": list(PAIR_BOUNDS),
                       "pairs_checked": report.pairs_checked, "ok": report.ok,
-                      "seconds": round(seconds, 3)})
+                      "seconds": round(seconds, 3), "seconds_raw": round(raw, 3)})
         print(f"{name:8} {report.pairs_checked:>9} pairs {seconds:>8.2f} s", flush=True)
 
     samples = []
     for name in PAIR_FIXTURES:
         g = fixture(name)
-        t0 = time.perf_counter()
-        report = check_strategy_independence(g, random.Random(SAMPLE_SEED), SAMPLES, STRATEGIES)
-        seconds = time.perf_counter() - t0
+        seconds, raw, report = timed(cal, lambda: check_strategy_independence(
+            g, random.Random(SAMPLE_SEED), SAMPLES, STRATEGIES))
         samples.append({"fixture": name, "pilings": SAMPLES, "strategies": STRATEGIES,
                         "seed": SAMPLE_SEED, "samples_checked": report.samples_checked,
-                        "ok": report.ok, "seconds": round(seconds, 3)})
+                        "ok": report.ok, "seconds": round(seconds, 3),
+                        "seconds_raw": round(raw, 3)})
         print(f"{name:8} {report.samples_checked:>9} samples {seconds:>6.2f} s", flush=True)
 
     words = []
     for name in FIXTURES:
         g = fixture(name)
         for n in WORD_LETTERS:
-            rng = random.Random(f"{args.seed}:words:{name}:{n}")
+            rng = random.Random(f"{seed}:words:{name}:{n}")
             batch = [random_word(g, rng, n) for _ in range(WORDS)]
-            cold, fresh = cold_time(g, lambda h: [from_syllables(h, w) for w in batch])
-            best, nfs = best_time(lambda: [from_syllables(fresh, w).piling for w in batch])
+            cold, cold_raw, fresh = cold_time(cal, g,
+                                              lambda h: [from_syllables(h, w) for w in batch])
+            best, best_raw, nfs = best_time(
+                cal, lambda: [from_syllables(fresh, w).piling for w in batch])
             words.append({"fixture": name, "letters": n, "words": WORDS,
                           "cold_s": round(cold, 6), "best_s": round(best, 6),
+                          "cold_s_raw": round(cold_raw, 6), "best_s_raw": round(best_raw, 6),
                           "nf_digest": digest(nfs)})
             print(f"{name:8} {n:>6} {cold * 1000:>10.2f} cold {best * 1000:>10.2f} ms "
                   f"from_syllables x{WORDS}", flush=True)
 
     tables = []
     for name in TABLE_FIXTURES:
-        row = table_at_bound(name, args.seed)
+        row = table_at_bound(name, seed)
         tables.append(row)
         print(f"{name:8} table {row['strata']:>6} strata {row['moves']:>7} moves "
               f"{row['entries']:>7} entries {row['table_mb']:>7.3f} MB "
               f"{'at the bound' if row['reached_bound'] else 'below the bound'}", flush=True)
 
-    passes = wordproblem_passes(args.seed)
+    passes = wordproblem_passes(seed)
     for n in range(WORDPROBLEM_PASSES):
         done = [r for r in passes if r["pass"] == n]
         print(f"wordproblem pass {n}: {sum(r['fresh_searches'] for r in done):>7} fresh searches, "
@@ -286,10 +298,11 @@ def main():
     kernels = []
     for n in KERNEL_SIZES:
         g = kjn_graph(n)
-        best, k = best_time(lambda: Kernel(g))
+        best, best_raw, k = best_time(cal, lambda: Kernel(g))
         entries = len(k.adj) + len(k.mu) + sum(len(table) for table in k.pw)
         kernels.append({"graph": f"kjn_graph({n})", "vertices": len(g.vertices),
-                        "entries": entries, "best_s": round(best, 6)})
+                        "entries": entries, "best_s": round(best, 6),
+                        "best_s_raw": round(best_raw, 6)})
         print(f"kjn({n}) {len(g.vertices):>6} vertices {best * 1000:>8.2f} ms compile", flush=True)
 
     starts = []
@@ -297,26 +310,35 @@ def main():
         path = Path(tmp) / "gar3.json"
         path.write_text(dump_graph(fixture("GAR3")))
         for label, argv in (("nf GAR3", ["nf", str(path), "x y z"]), ("f nf", ["f", "nf", "0 inf"])):
-            times = cold_start_ms(argv)
+            times, raws = cold_start_ms(cal, argv)
             starts.append({"command": label, "runs_ms": times,
-                           "median_ms": statistics.median(times)})
+                           "median_ms": statistics.median(times), "runs_ms_raw": raws,
+                           "median_ms_raw": statistics.median(raws)})
             print(f"{label:8} {statistics.median(times):>8.1f} ms cold start "
                   f"(median of {COLD_STARTS})", flush=True)
 
+    return {"normalize": rows, "critical_pairs": pairs, "strategy_independence": samples,
+            "from_syllables": words, "step_tables": tables, "wordproblem_passes": passes,
+            "kernel_compile": kernels, "cli_cold_start": starts}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, help="path of the JSON record")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+
+    with Calibrator() as cal:
+        rows = measure(cal, args.seed)
     record = {
         "commit": commit(),
         "host": f"{platform.platform()}, {os.cpu_count()} cpus, "
                 f"Python {platform.python_version()}",
         "seed": args.seed,
         "repeats": REPEATS,
-        "normalize": rows,
-        "critical_pairs": pairs,
-        "strategy_independence": samples,
-        "from_syllables": words,
-        "step_tables": tables,
-        "wordproblem_passes": passes,
-        "kernel_compile": kernels,
-        "cli_cold_start": starts,
+        "median_probe_s": round(cal.median_probe(), 6),
+        **rows,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
 

@@ -56,8 +56,8 @@ from .pilings import (_UNSEEN, _StepTable, _kernel_stratum, _settle, _stratum_ad
 
 # Most strata one enumeration may build.  The work grows much faster than the
 # strata: on a 2-core x86-64 host, KJ4 at support 3 and exponent 2 has 361
-# strata and 1.5M pairs, checked in 1.8-2.6 s and 125 MB max RSS, and RAAG-C6
-# at (2, 4) has 433 strata and 35M pairs, checked in 12-16 s and 310 MB.
+# strata and 1.5M pairs, checked in 2.0-2.4 s and 122 MB max RSS, and RAAG-C6
+# at (2, 4) has 433 strata and 35M pairs, checked in 14.5 s and 309 MB.
 MAX_STRATA = 500
 
 

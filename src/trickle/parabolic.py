@@ -22,8 +22,9 @@ from .pilings import GroupElement
 
 
 def _subset_stable(graph, X, x) -> bool:
-    return all(graph.phi(x, y) in X and graph.phi_inv(x, y) in X
-               for y in X if y == x or graph.edge(x, y))
+    star = (graph.star(x) & X if graph.finite
+            else [y for y in X if y == x or graph.edge(x, y)])
+    return all(graph.phi(x, y) in X and graph.phi_inv(x, y) in X for y in star)
 
 
 def is_parabolic(graph, X) -> bool:
@@ -84,12 +85,21 @@ def parabolic_subgraph(graph, X) -> ParabolicSubgraph:
 
 
 def _induce(graph, X):
-    order = sorted(X, key=graph.sort_key)
-    edges = [(x, y) for i, x in enumerate(order) for y in order[i + 1:]
-             if graph.edge(x, y)]
-    less = [(x, y) for x in order for y in order if graph.less(x, y)]
-    phi = {x: {y: graph.phi(x, y) for y in order if y == x or graph.edge(x, y)}
-           for x in order}
+    """The graph on X: a finite graph's ``tables`` kept to X, a lazy
+    graph's queried pair by pair."""
+    if graph.finite:
+        vertices, _, edges, less, phi = graph.tables()
+        order = [x for x in vertices if x in X]
+        edges = [(x, y) for x, y in edges if x in X and y in X]
+        less = [(x, y) for x, y in less if x in X and y in X]
+        phi = {x: {y: img for y, img in phi[x].items() if y in X} for x in order if x in phi}
+    else:
+        order = sorted(X, key=graph.sort_key)
+        edges = [(x, y) for i, x in enumerate(order) for y in order[i + 1:]
+                 if graph.edge(x, y)]
+        less = [(x, y) for x in order for y in order if graph.less(x, y)]
+        phi = {x: {y: graph.phi(x, y) for y in order if y == x or graph.edge(x, y)}
+               for x in order}
     return TrickleGraph.build(order, {x: graph.mu(x) for x in order},
                               edges, less, phi, ranking=order,
                               name=f"{graph.name}|{{{len(order)} vertices}}",

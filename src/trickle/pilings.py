@@ -28,7 +28,7 @@ graph flavour has one reduction route.  A finite graph runs on its
 integer ``Kernel`` (``graph.py``): each stratum becomes an id of the
 kernel's step table once on the way in and names once on the way out,
 and the move at a pair of ids is read from the table's rows, which
-``_kernel_step`` fills the first time the graph meets the pair.  Lazy
+``_table_step`` fills the first time the graph meets the pair.  Lazy
 graphs and ``product`` step on names and keep no memo.  Every route
 makes the same moves.
 """
@@ -223,12 +223,13 @@ def _exponent(a):
 
 # A call replaces a step table whose weight, _STRATUM_WEIGHT per stratum plus
 # one per move, is over _TABLE_BOUND, keeping others' ids.  A stratum holds
-# 180-570 bytes and a move 30-90, so a stratum weighs several times its bytes:
-# a table that reuses its strata keeps its moves (J5 and KJ4 all of theirs, in
-# 0.3 and 0.7 MB; RAAG-C6 1.1-1.3 MB at the bound), and one that keeps meeting
-# new strata stops near 830 of them (GAR3 0.4 MB, kjn_graph(5) 0.55 MB).  A
-# warm wordproblem pass makes 50k fresh searches, 185k at the old bound of
-# 4,096 strata plus moves: ops/s +57%.
+# 180-570 bytes, up to about 260 more once searches have built its mask and
+# movers, and a move 30-90, so a stratum weighs several times its bytes: a
+# table that reuses its strata keeps its moves (J5 and KJ4 all of theirs, in
+# 0.31 and 0.72 MB; RAAG-C6 1.22 MB at the bound), and one that keeps meeting
+# new strata stops at 720-860 of them (GAR3 0.44 MB, kjn_graph(5) 0.89 MB),
+# on the words of scripts/bench.py.  A warm wordproblem pass makes 50k fresh
+# searches, 185k at the old bound of 4,096 strata plus moves: ops/s +57%.
 _STRATUM_WEIGHT = 96
 _TABLE_BOUND = 80_000
 
@@ -238,19 +239,23 @@ class _StepTable:
 
     ``sids`` maps a stratum in kernel ids to its index in ``strata``;
     ``rows[u]``, the memo of ``_settle``, maps v to the ids the move at
-    (u, v) leaves, or to None; ``names`` caches strata in vertex names;
+    (u, v) leaves, or to None; ``masks[u]`` and ``movers[u]``, None until
+    a search first needs them, hold the support bitmask and the
+    ``_movers`` of stratum u; ``names`` caches strata in vertex names;
     ``ones``, read by ``from_syllables``, maps c * n + x, for a kernel of
     n vertices, to the id of the one-syllable stratum ((x, c),).  The
     lock keeps a stratum from getting two ids, and ``sids`` gets an id
-    after its stratum and row; row and ``ones`` entries written twice are
-    equal, and ``moves`` may miss a count under threads.
+    after its stratum, row, mask and movers slots; entries written twice
+    are equal, and ``moves`` may miss a count under threads.
     """
 
-    __slots__ = ("kernel", "sids", "strata", "rows", "names", "ones", "moves", "lock")
+    __slots__ = ("kernel", "sids", "strata", "rows", "masks", "movers", "names", "ones",
+                 "moves", "lock")
 
     def __init__(self, kernel):
         self.kernel, self.sids, self.strata, self.rows = kernel, {}, [], []
-        self.names, self.ones, self.moves, self.lock = {}, {}, 0, threading.Lock()
+        self.masks, self.movers, self.names, self.ones = [], [], {}, {}
+        self.moves, self.lock = 0, threading.Lock()
 
     def sid(self, S):
         u = self.sids.get(S)
@@ -261,6 +266,8 @@ class _StepTable:
                     u = len(self.strata)
                     self.strata.append(S)
                     self.rows.append({})
+                    self.masks.append(None)
+                    self.movers.append(None)
                     self.sids[S] = u
         return u
 
@@ -282,13 +289,6 @@ def _on_table(table, ids):
             N = names[u] = tuple([(verts[x], a) for x, a in table.strata[u]])
         out.append(N)
     return tuple(out)
-
-
-def _table_step(table, u, v):
-    """``_kernel_step`` at the strata with ids u and v, its strata interned."""
-    t = _kernel_step(table.kernel, table.strata[u], table.strata[v])
-    table.moves += 1
-    return t and tuple(map(table.sid, t))
 
 
 # Splitting short words costs more than it saves on KJ4, RAAG-C6 and
@@ -338,67 +338,122 @@ def _step(graph, U, V):
     return None
 
 
-def _kernel_step(kernel, U, V):
-    """``_step`` on strata held by the ids of a finite graph's ``kernel``.
+def _movers(kernel, V):
+    """The movers of the id stratum V for ``_table_step``, in one flat list.
 
-    The mover syllables of V are tried in the same order and each is
-    conjugated past the ones before it through the cycle tables.  It
-    lands when the support mask of U holds its vertex or lies within the
-    vertex's neighbours; then every other syllable of U is pulled back
-    through phi, a matching one merges or cancels, and the stratum is
-    sorted by descending id, which is descending rank.  So the move at
-    every pair is the move of ``_step``.  Where the tables give no image (an
-    unsound star map, a vertex outside a star: only broken graphs get
-    there), it returns ``_name_step``, where ``_step`` raises its own error.
+    The i-th syllable of V, the i-th that ``_step`` tries, gives slot 2i
+    its extraction, the syllable conjugated past the ones before it
+    through the cycle tables, and slot 2i + 1 None, for the id of V left
+    without it.  Where the tables give no image (an unsound star map, a
+    vertex outside a star: only broken graphs get there) the list ends in
+    None at an even slot, so the fault fires only in a search that gets
+    that far.  One list per stratum and no remainder stratum built: a
+    stratum met once costs the collector one object.
     """
-    adj, pw, mu = kernel.adj, kernel.pw, kernel.mu
-    supp = 0
-    for x, _ in U:
-        supp |= 1 << x
-    for i, (y, b) in enumerate(V):
+    adj, pw, out = kernel.adj, kernel.pw, []
+    for i, s in enumerate(V):
+        y = s[0]
         for j in range(i - 1, -1, -1):
             x, a = V[j]
             p = pw[x]
             if p is None:
-                return _name_step(kernel, U, V)
+                out.append(None)
+                return out
             c = p.get(y)
             if c is not None:
                 y = c[0][(c[1] + a) % len(c[0])]
             elif y != x and not adj[x] >> y & 1:
-                return _name_step(kernel, U, V)
+                out.append(None)
+                return out
+        out.append(s if y == s[0] else (y, s[1]))
+        out.append(None)
+    return out
+
+
+def _table_step(table, u, v):
+    """``_step`` at the strata with ids u and v, its strata interned.
+
+    The support mask of u and the movers of v are read from the table,
+    built the first time u is a left and v a right stratum of a search.
+    A mover lands when the mask holds its vertex or lies within the
+    vertex's neighbours; then every other syllable of u is pulled back
+    through phi, a matching one merges or cancels, and the stratum is
+    sorted by descending id, which is descending rank.  A mover's
+    remainder is interned at its first landing, after the landed stratum,
+    and its id (-1 when it is empty) kept in the movers, so no stratum is
+    interned for a mover that never lands.  So the move at every pair is
+    the move of ``_step``.  Where the tables give no image, the pair goes
+    to ``_name_step``, where ``_step`` raises its own error; a search that
+    raises keeps and counts nothing.
+    """
+    U, kernel = table.strata[u], table.kernel
+    supp = table.masks[u]
+    if supp is None:
+        supp = 0
+        for x, _ in U:
+            supp |= 1 << x
+        table.masks[u] = supp
+    movers = table.movers[v]
+    if movers is None:
+        movers = table.movers[v] = _movers(kernel, table.strata[v])
+    adj = kernel.adj
+    for k in range(0, len(movers), 2):
+        g = movers[k]
+        if g is None:
+            break
+        y, b = g
         bit = 1 << y
         merged = supp & bit
         if not merged and supp & ~adj[y]:
             continue
-        p = pw[y]
+        p = kernel.pw[y]
         if p is None and supp != bit or merged and supp & ~adj[y] != bit:
-            return _name_step(kernel, U, V)
-        out = []
+            break
+        mu, out = kernel.mu[y], []
         for x, a in U:
             if x == y:
                 c = a + b
-                if mu[y]:
-                    c %= mu[y]
+                if mu:
+                    c %= mu
                 if c:
                     out.append((y, c))
             else:
                 c = p.get(x)
                 out.append((c[0][(c[1] - b) % len(c[0])] if c else x, a))
         if not merged:
-            out.append((y, b))
-        out.sort(reverse=True)
-        W = V[:i] + V[i + 1:]
+            out.append(g)
+        table.moves += 1
         if out:
-            return (tuple(out), W) if W else (tuple(out),)
-        return (W,) if W else ()
-    return None
+            out.sort(reverse=True)
+            S = tuple(out)
+            o = table.sids.get(S)
+            if o is None:
+                o = table.sid(S)
+        w = movers[k + 1]
+        if w is None:
+            V, i = table.strata[v], k // 2
+            W = V[:i] + V[i + 1:]
+            w = movers[k + 1] = table.sid(W) if W else -1
+        if w < 0:
+            return (o,) if out else ()
+        return (o, w) if out else (w,)
+    else:
+        table.moves += 1
+        return None
+    # a conjugation fault, or a landing the tables give no image for
+    t = _name_step(kernel, table.strata[u], table.strata[v])
+    table.moves += 1
+    return t and tuple(map(table.sid, t))
 
 
 def _name_step(kernel, U, V):
-    """``_step`` at the names of the id strata U and V, its move back in ids."""
-    verts = kernel.graph.vertices
+    """``_step`` at the names of the id strata U and V, its move back in ids
+    as it is: on a graph whose labels change along a star map it may hold
+    an exponent outside the range of its vertex's label, as the table's
+    own moves do."""
+    verts, index = kernel.graph.vertices, kernel.index
     t = _step(kernel.graph, *[tuple([(verts[x], a) for x, a in S]) for S in (U, V)])
-    return t and tuple([_kernel_stratum(kernel, S) for S in t])
+    return t and tuple([tuple([(index[v], a) for v, a in S]) for S in t])
 
 
 _UNSEEN = object()

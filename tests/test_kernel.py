@@ -22,7 +22,7 @@ from trickle.dyadic import Dyadic
 from trickle.families import FIXTURES, fixture
 from trickle.graph import INFINITY, GraphError, TrickleGraph
 from trickle import pilings
-from trickle.pilings import (_LEAF, _halves, _kernel_step, canonical_exponent,
+from trickle.pilings import (_LEAF, _halves, _name_step, canonical_exponent,
                              from_syllables, normalize, sort_stratum)
 from trickle.thompson import f_graph
 from trickle.vjn import kjn_graph
@@ -280,17 +280,23 @@ def warm(graph, rng, words=200):
 
 
 def assert_table_sound(table):
-    """Every id names its stratum, and every move kept is the move a fresh
-    ``_kernel_step`` makes; a pair where it raises keeps nothing."""
-    assert len(table.sids) == len(table.strata) == len(table.rows)
+    """Every id names its stratum, every remainder id a mover holds names
+    its stratum left without that mover, and every move kept is the move of
+    the name route, ``_name_step``; a pair where it raises keeps nothing."""
+    assert (len(table.sids) == len(table.strata) == len(table.rows) == len(table.masks)
+            == len(table.movers))
     assert all(table.sids[S] == u for u, S in enumerate(table.strata))
+    for V, movers in zip(table.strata, table.movers):
+        for i, w in enumerate((movers or [])[1::2]):
+            if w is not None:
+                assert (table.strata[w] if w >= 0 else ()) == V[:i] + V[i + 1:]
     n = len(table.kernel.mu)
     for key, u in table.ones.items():
         assert table.strata[u] == ((key % n, key // n),)
         assert type(key // n) is int
     for u, row in enumerate(table.rows):
         for v, t in row.items():
-            fresh = _kernel_step(table.kernel, table.strata[u], table.strata[v])
+            fresh = _name_step(table.kernel, table.strata[u], table.strata[v])
             assert fresh == (None if t is None else tuple(table.strata[w] for w in t))
 
 
@@ -343,6 +349,49 @@ def test_warm_table_raises_the_name_step_errors(name):
         piling = loose_piling(g, rng)
         assert outcome(normalize, g, piling) == outcome(reference_normalize, g, piling)
     assert_table_sound(g.kernel().table)
+
+
+def test_a_fault_past_a_landing_mover_fires_only_when_a_search_reaches_it():
+    # phi_t sends s out of its star, so the mover s of V = (t, s) has no
+    # conjugate image; the mover t before it lands in (t,) but not in (r,),
+    # r being no neighbour of t
+    g = TrickleGraph.build(["r", "s", "t"], INFINITY, [("s", "t"), ("r", "s")],
+                           [("s", "t")], phi={"t": {"s": "r"}})
+    V = sort_stratum(g, [("t", 1), ("s", 1)])
+    assert V == (("t", 1), ("s", 1))
+    text = "phi_'t' sends 's' to 'r' outside the star"
+    for order in (("lands", "raises"), ("raises", "lands", "raises")):
+        g.kernel().table = None
+        for case in order:
+            if case == "lands":
+                piling = ((("t", 1),), V)
+                assert (normalize(g, piling) == reference_normalize(g, piling)
+                        == ((("t", 2), ("s", 1)),))
+            else:
+                piling = ((("r", 1),), V)
+                assert outcome(normalize, g, piling) == outcome(reference_normalize, g, piling)
+                assert outcome(normalize, g, piling) == f"GraphError: {text}"
+        table = g.kernel().table
+        assert_table_sound(table)
+        r, s, t = (g.kernel().index[x] for x in "rst")
+        v = table.sids[((t, 1), (s, 1))]
+        assert v not in table.rows[table.sids[((r, 1),)]]
+        assert table.rows[table.sids[((t, 1),)]][v] is not None
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_every_stratum_interned_is_an_input_or_a_kept_move(name):
+    # a mover's remainder is interned at its first landing, not when the
+    # movers of its stratum are built
+    rng = random.Random(f"table:interned:{name}")
+    g = fixture(name)
+    k = g.kernel()
+    k.table = None
+    warm(g, rng)
+    table = k.table
+    made = set(table.ones.values())
+    made.update(w for row in table.rows for t in row.values() if t for w in t)
+    assert made == set(range(len(table.strata)))
 
 
 def test_a_raising_step_leaves_no_entry():

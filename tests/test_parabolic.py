@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from trickle.dyadic import Dyadic
-from trickle.families import cactus
-from trickle.graph import GraphError
+from trickle.families import FIXTURES, cactus, fixture
+from trickle.graph import GraphError, TrickleGraph
 from trickle.parabolic import (ParabolicSubgraph, downward_closure, intersect,
                                is_parabolic, member, parabolic_subgraph)
 from trickle.pilings import element_from_text, from_syllables
@@ -140,3 +141,38 @@ def test_parabolic_subgraphs_are_values(j4):
         "ParabolicSubgraph(parent=<TrickleGraph 'cactus(4)': 6 vertices>, "
         "vertices=frozenset({'[1,2]'}))")
     assert repr(f_graph()) == "<TrickleGraph 'thompson-f': lazy>"
+
+
+def pairwise_is_parabolic(graph, X):
+    """``is_parabolic`` by the walk over every pair of X."""
+    return all(graph.phi(x, y) in X and graph.phi_inv(x, y) in X
+               for x in X for y in X if y == x or graph.edge(x, y))
+
+
+def pairwise_induce(graph, X):
+    """The induced graph by the walk over every pair of X."""
+    order = sorted(X, key=graph.sort_key)
+    edges = [(x, y) for i, x in enumerate(order) for y in order[i + 1:] if graph.edge(x, y)]
+    less = [(x, y) for x in order for y in order if graph.less(x, y)]
+    phi = {x: {y: graph.phi(x, y) for y in order if y == x or graph.edge(x, y)}
+           for x in order}
+    return TrickleGraph.build(order, {x: graph.mu(x) for x in order}, edges, less, phi,
+                              ranking=order)
+
+
+def test_star_walk_matches_the_pairwise_walk():
+    # every subset of every fixture of at most 10 vertices: the same
+    # verdict, and for each parabolic one the same induced tables
+    parabolic = 0
+    for name in sorted(FIXTURES):
+        g = fixture(name)
+        if len(g.vertices) > 10:
+            continue
+        for r in range(len(g.vertices) + 1):
+            for X in map(frozenset, itertools.combinations(g.vertices, r)):
+                assert is_parabolic(g, X) == pairwise_is_parabolic(g, X), (name, X)
+                if is_parabolic(g, X):
+                    parabolic += 1
+                    got = parabolic_subgraph(g, X).graph()
+                    assert got.tables() == pairwise_induce(g, X).tables(), (name, X)
+    assert parabolic == 420
