@@ -12,7 +12,8 @@ seconds, the number of strata in the normal form and a digest of it, so
 two records of one seed can also be checked for equal normal forms.
 Then ``check_critical_pairs``
 runs once per fixture at support 3 and exponent 2; its rows hold the
-pair count, the verdict and the time of that one run.  Then
+pair count, the verdict, the order of the symmetry group the check was
+reduced by, the C2 units it evaluated and the time of that one run.  Then
 ``check_strategy_independence`` runs once per fixture on 1000 random
 pilings under 20 strategies each, seeded with ``Random(100)``; its rows
 hold the sample count, the verdict and the time.  Next,
@@ -250,8 +251,10 @@ def measure(cal, seed):
         seconds, raw, report = timed(cal, lambda: check_critical_pairs(g, *PAIR_BOUNDS))
         pairs.append({"fixture": name, "bounds": list(PAIR_BOUNDS),
                       "pairs_checked": report.pairs_checked, "ok": report.ok,
+                      "group_order": report.group_order, "c2_evaluated": report.c2_evaluated,
                       "seconds": round(seconds, 3), "seconds_raw": round(raw, 3)})
-        print(f"{name:8} {report.pairs_checked:>9} pairs {seconds:>8.2f} s", flush=True)
+        print(f"{name:8} {report.pairs_checked:>9} pairs {seconds:>8.2f} s, group order "
+              f"{report.group_order}, {report.c2_evaluated} C2 units", flush=True)
 
     samples = []
     for name in PAIR_FIXTURES:

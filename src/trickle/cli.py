@@ -14,6 +14,7 @@ error is one ``error:`` line on stderr with exit 2, like any bad input.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 NEGATIVE = 1
@@ -322,13 +323,19 @@ def _parser():
 def main(argv=None):
     """Run one command on ``argv`` (default ``sys.argv[1:]``) and return
     its exit code.  Any input error (``GraphError`` is a ``ValueError``)
-    becomes a single ``error:`` line and exit 2; other exceptions are bugs
+    becomes a single ``error:`` line and exit 2, and so does a closed
+    stdout, whose later writes go to devnull; other exceptions are bugs
     and keep their traceback."""
     args = _parser().parse_args(argv)
     try:
-        return args.run(args) or 0
+        code = args.run(args) or 0
+        sys.stdout.flush()
+        return code
     except ValueError as e:
         _fail(e)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _fail("standard output was closed")
 
 
 if __name__ == "__main__":

@@ -9,9 +9,13 @@ pushes out of one stratum (C3).
 The second check normalizes random pilings under many random maximal
 strategies and demands a single result.
 
-Neither check proves confluence for unbounded exponents; together they
-exercise every branch of the resolution case analysis at desk scale and
-reliably expose corrupted star maps with an explicit witness.
+A clean first check shows every overlap within its bounds joinable.
+Where the bounds list every stratum of the graph (every label finite
+and ``max_support`` at least the clique number), that is local
+confluence, and with termination Newman's lemma gives confluence.  With
+an infinite label no bound covers every exponent, and the second check
+is a sample; together they expose corrupted star maps with an explicit
+witness.
 
 The overlaps are enumerated once, as work units (``_units``) that
 ``enumerate_critical_pairs`` expands into pairs and ``check_critical_pairs``
@@ -37,6 +41,36 @@ are those of a fresh search at every step.
 ``resolve`` and the failure witnesses both ``normalize`` the two
 successors, so a False answer always comes with two distinct irreducible
 forms as evidence.
+
+The first check evaluates one C2 unit per orbit of middle strata under
+the graph's symmetries: vertex permutations sigma that keep adjacency,
+the order, the labels and the star maps, sigma(phi_x(y)) =
+phi_sigma(x)(sigma(y)), but need not keep the ranking.  It does so only
+where every star map is a bijection and axioms (b) and (d) hold, as
+``_symmetries`` checks on the kernel; then sigma maps every move to a
+move.  A move extracts a syllable y past the syllables ranked above it
+in its stratum, then lands it.  Those above y in the order form a chain:
+of two incomparable ones, (b) would make y incomparable to one.  By (d)
+phi_x moves only vertices below x, so it maps the star vertices below x
+among themselves, and y conjugated up the chain stays below the last
+chain syllable passed.  When it meets a syllable x incomparable to y,
+that last one, c, is incomparable to x too (c < x would put y below x,
+and x < c would rank x below c), so by (b) x is incomparable to
+everything below c, the conjugated y included (and to y itself before
+the chain), and phi_x fixes it by (d).  So extraction is conjugation up the chain alone,
+in chain order, which sigma keeps; the landing test, merges and the
+pull-back at a landing read only adjacency, labels and star maps.  Hence
+sigma maps the C2 pairs of a middle stratum V one to one onto those of
+sigma(V), and a piling both successors of a pair reach to one both
+successors of its image reach.  A reduced check that finds no failure
+has thus shown every pair within the bounds joinable; only where the
+system is not confluent could the irreducible forms the check picks for
+an image pair still differ.  Without (d) the argument fails: at (2, 1),
+8 of ``broken_d``'s 18 middle strata fail on other pair counts than
+their images under its order-2 symmetry, and its 9,556 failures would
+fall to 5,664.  A reduced check that finds a failure is run again over
+every unit, so failures and witnesses are those of the full check.  A
+unit left out still adds its own pair count.
 """
 
 from __future__ import annotations
@@ -56,9 +90,19 @@ from .pilings import (_UNSEEN, _StepTable, _kernel_stratum, _settle, _stratum_ad
 
 # Most strata one enumeration may build.  The work grows much faster than the
 # strata: on a 2-core x86-64 host, KJ4 at support 3 and exponent 2 has 361
-# strata and 1.5M pairs, checked in 2.0-2.4 s and 122 MB max RSS, and RAAG-C6
-# at (2, 4) has 433 strata and 35M pairs, checked in 14.5 s and 309 MB.
+# strata and 1.5M pairs, and RAAG-C6 at (2, 4) has 433 strata and 35M pairs.
+# Reduced by their symmetries (orders 48 and 12) they are checked in 0.19 s
+# and 20 MB max RSS and in 2.8 s and 67 MB; a graph with no symmetry pays
+# what every unit costs, which on these two was 2.0-3.0 s and 122 MB and
+# 14.5-20 s and 309 MB.
 MAX_STRATA = 500
+
+# Most candidate images the symmetry search may try; past it the check runs
+# unreduced.  A try takes 5-50 us, more on larger graphs: KJ4 (60 vertices,
+# order 48) makes 1,101 tries in 6 ms, kjn_graph(5) (320 vertices, order 240)
+# 10,290 in 0.2 s.  The search runs after the MAX_STRATA refusal, so on
+# fewer than 500 vertices.
+SYMMETRY_BUDGET = 100_000
 
 
 # case: "C1" | "C2" | "C3"
@@ -113,8 +157,139 @@ def enumerate_strata(graph, max_support, max_exp):
     return out
 
 
-def _units(graph, max_support, max_exp):
-    """Every overlap within the bounds, once, grouped into work units.
+def _bits(m):
+    """The set bits of the int m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _symmetries(graph):
+    """Generators and order of the symmetry group of a finite graph, or None.
+
+    None unless every star map is a bijection of its star and axioms (b)
+    and (d) hold, read off the kernel's ``adj`` and ``pw`` and an up-mask
+    per vertex, and None past SYMMETRY_BUDGET tries.  A vertex's images
+    are those of its cell: label, degree, up- and down-degree and the
+    cycle type of its star map.  The search keeps one symmetry per (level,
+    image) coset of a point-stabiliser chain along a breadth-first base:
+    from the last level up, a symmetry that fixes the base before the
+    level and sends its point to an image outside the orbit of the
+    symmetries found so far.  Each try tests adjacency and order against
+    the images assigned so far, and the star-map triples (x, y, phi_x(y))
+    once all three are assigned.
+    """
+    k = graph.kernel()
+    adj, pw, n, index = k.adj, k.pw, len(k.adj), k.index
+    up, down = [0] * n, [0] * n
+    for v in graph.vertices:
+        for w in graph._up[v]:
+            up[index[v]] |= 1 << index[w]
+            down[index[w]] |= 1 << index[v]
+    for x, p in enumerate(pw):
+        inc = adj[x] & ~(up[x] | down[x])
+        if (p is None or any(not up[y] >> x & 1 for y in p)
+                or any(down[y] & ~inc for y in _bits(inc))):
+            return None
+    invariants = [(k.mu[x], adj[x].bit_count(), up[x].bit_count(), down[x].bit_count(),
+                   tuple(sorted(len(c) for c, i in pw[x].values() if not i)))
+                  for x in range(n)]
+    cells = {}
+    for x, key in enumerate(invariants):
+        cells[key] = cells.get(key, 0) | 1 << x
+    cell = [cells[key] for key in invariants]
+
+    base, placed = [], 0
+    for v in range(n):
+        if not placed >> v & 1:
+            placed |= 1 << v
+            base.append(v)
+            for u in base[len(base) - 1:]:      # grows as it is read
+                new = adj[u] & ~placed
+                placed |= new
+                base.extend(_bits(new))
+    pos, prefix = [0] * n, [0]
+    for i, v in enumerate(base):
+        pos[v] = i
+        prefix.append(prefix[-1] | 1 << v)
+    triples = [[] for _ in range(n)]
+    for x, p in enumerate(pw):
+        for y, (c, i) in p.items():
+            z = c[(i + 1) % len(c)]
+            triples[max(pos[x], pos[y], pos[z])].append((x, y, z))
+
+    tries = 0
+
+    def frame(i, f, used, cands):
+        """[the images base[i] may take, and the images of its neighbours,
+        of the vertices above it and of those below it assigned so far]."""
+        v, known = base[i], prefix[i]
+        a, u, d = [sum(1 << f[j] for j in _bits(m[v] & known)) for m in (adj, up, down)]
+        cands &= cell[v] & ~used
+        if a:
+            cands &= adj[(a & -a).bit_length() - 1]
+        return [cands, a, u, d]
+
+    def kept(f, x, y, z):
+        """phi_f(x)(f(y)) = f(z), for z = phi_x(y)."""
+        c, t = pw[f[x]].get(f[y], ((), 0))
+        return bool(c) and c[(t + 1) % len(c)] == f[z]
+
+    def extend(i0, first):
+        """A symmetry fixing base[:i0] and sending base[i0] to first, or None."""
+        nonlocal tries
+        f = [-1] * n
+        for v in base[:i0]:
+            f[v] = v
+        used = prefix[i0]
+        stack = [frame(i0, f, used, 1 << first)]
+        while stack and tries <= SYMMETRY_BUDGET:
+            i = i0 + len(stack) - 1
+            v, top = base[i], stack[-1]
+            if f[v] >= 0:       # back from a dead end: undo the last try
+                used ^= 1 << f[v]
+                f[v] = -1
+            cands, a, u, d = top
+            for w in _bits(cands):
+                tries += 1
+                if adj[w] & used == a and up[w] & used == u and down[w] & used == d:
+                    f[v] = w
+                    if all(kept(f, *t) for t in triples[i]):
+                        break
+                    f[v] = -1
+            else:
+                stack.pop()
+                continue
+            top[0] = cands & -(2 << w)
+            used |= 1 << w
+            if i + 1 == n:
+                return f
+            stack.append(frame(i + 1, f, used, -1))
+        return None
+
+    gens, order = [], 1
+    for i in range(n - 1, -1, -1):
+        b, orbit = base[i], {base[i]}
+        for c in _bits(cell[b] & ~prefix[i]):
+            if c not in orbit:
+                g = extend(i, c)
+                if tries > SYMMETRY_BUDGET:
+                    return None
+                if g is not None:
+                    gens.append(g)
+                    todo = [b]
+                    for v in todo:      # grows as it is read
+                        for h in gens:
+                            if h[v] not in orbit:
+                                orbit.add(h[v])
+                                todo.append(h[v])
+        order *= len(orbit)
+    return gens, order
+
+
+def _units(graph, strata):
+    """Every overlap among ``strata``, once, grouped into work units.
 
     ``("C1", W, movers)`` covers each ``(s, gs)`` of W's movers; ``("C3", U,
     V, (y, gy), (z, gz))`` is one overlap; in ``("C2", V, incoming, heads)``
@@ -122,7 +297,6 @@ def _units(graph, max_support, max_exp):
     ``incoming``.  ``gy`` is y extracted from its stratum: the syllable that
     lands, in every stratum a unit adds it to (``addable``, or ``()``).
     """
-    strata = enumerate_strata(graph, max_support, max_exp)
     nonempty = [U for U in strata if U]
     movers = {V: [(s, stratum_extract(graph, V, s)) for s in V] for V in nonempty}
     addable = {v: [U for U in strata if stratum_can_add(graph, U, (v, 1))]
@@ -151,7 +325,7 @@ def _units(graph, max_support, max_exp):
 
 def enumerate_critical_pairs(graph, max_support=3, max_exp=2):
     """Yield every overlap within the bounds (finite mu: full residue range)."""
-    for unit in _units(graph, max_support, max_exp):
+    for unit in _units(graph, enumerate_strata(graph, max_support, max_exp)):
         if unit[0] == "C1":
             _, W, movers = unit
             for s, _ in movers:
@@ -326,10 +500,57 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
     failure's witness is the irreducible form of each of its two successors.
     One step table, the reducer's, serves the whole check.  The check stops
     at ``fail_limit`` failures, which must be at least 1.
+
+    Where the graph has symmetries, only the C2 units whose middle stratum
+    comes first in its orbit are evaluated, and a failure there sends the
+    check back over every unit (module docstring).  The report's
+    ``group_order`` is the order of the group the check was reduced by (1
+    when it was not) and ``c2_evaluated`` counts the C2 units evaluated.
     """
     if fail_limit < 1:
         raise GraphError(f"fail_limit must be at least 1, got {fail_limit}")
+    strata = enumerate_strata(graph, max_support, max_exp)
+    reduced = _orbit_firsts(graph, strata)
+    if reduced is not None:
+        report = _check(graph, strata, 1, reduced[0])
+        if not report.failures:
+            report.group_order = reduced[1]
+            return report
+    report = _check(graph, strata, fail_limit, None)
+    report.group_order = 1
+    return report
+
+
+def _orbit_firsts(graph, strata):
+    """The strata that come first in their orbit under the graph's
+    symmetries, the orbits taken as the closure under the generators of
+    ``_symmetries``, and the group's order; None when it finds none but
+    the identity."""
+    found = _symmetries(graph)
+    if found is None or found[1] == 1:
+        return None
+    verts = graph.vertices
+    maps = [dict(zip(verts, [verts[i] for i in g])) for g in found[0]]
+    seen, firsts = set(), set()
+    for S in strata:
+        if S not in seen:
+            firsts.add(S)
+            seen.add(S)
+            todo = [S]
+            for T in todo:      # grows as it is read
+                for m in maps:
+                    R = sort_stratum(graph, [(m[v], a) for v, a in T])
+                    if R not in seen:
+                        seen.add(R)
+                        todo.append(R)
+    return firsts, found[1]
+
+
+def _check(graph, strata, fail_limit, firsts):
+    """``check_critical_pairs`` on the units of ``strata``, evaluating a C2
+    unit only when ``firsts`` is None or holds its middle stratum."""
     report = ConfluenceReport()
+    report.c2_evaluated = 0
     r = _Reducer(graph)
     # local memos: a cache on the reducer would form a cycle through its bound method
     mult, mult_row, of = r.mult, r.mult_row, functools.cache(r.of_stratum)
@@ -340,7 +561,7 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
         report.failures.append((pair, *(normalize(graph, p) for p in _successors(graph, pair))))
         return len(report.failures) >= fail_limit
 
-    for u in _units(graph, max_support, max_exp):
+    for u in _units(graph, strata):
         if u[0] == "C1":
             _, W, movers = u
             iW = of(W)
@@ -359,6 +580,10 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
                     return report
         else:
             _, V, incoming, heads = u
+            if firsts is not None and V not in firsts:
+                report.pairs_checked += len(heads) * len(incoming)
+                continue
+            report.c2_evaluated += 1
             # the incoming pairs grouped by V2 = V + gz, in first-seen order
             groups = {}
             for n, (W, z, gz) in enumerate(incoming):

@@ -24,16 +24,21 @@ from .pilings import GroupElement
 def _subset_stable(graph, X, x) -> bool:
     star = (graph.star(x) & X if graph.finite
             else [y for y in X if y == x or graph.edge(x, y)])
-    return all(graph.phi(x, y) in X and graph.phi_inv(x, y) in X for y in star)
+    return all(graph.phi(x, y) in X and graph.phi_inv(x, y) in X
+               for y in sorted(star, key=graph.sort_key))
 
 
 def is_parabolic(graph, X) -> bool:
-    """Does every star map of X stabilize its star within X?"""
+    """Does every star map of X stabilize its star within X?
+
+    X and each star are walked in ranking order, so on a graph with an
+    unsound star map the answer, False or the map's ``GraphError``, does
+    not depend on the hash seed."""
     X = frozenset(X)
-    for x in X:
-        if not graph.contains_vertex(x):
-            raise GraphError(f"unknown vertex {reprlib.repr(x)}")
-    return all(_subset_stable(graph, X, x) for x in X)
+    unknown = [x for x in X if not graph.contains_vertex(x)]
+    if unknown:
+        raise GraphError(f"unknown vertex {reprlib.repr(min(unknown, key=repr))}")
+    return all(_subset_stable(graph, X, x) for x in sorted(X, key=graph.sort_key))
 
 
 def downward_closure(graph, X) -> frozenset:

@@ -388,6 +388,19 @@ def test_usage_error_in_a_fresh_interpreter():
     assert result.stderr == "error: the following arguments are required: graph_path, word\n"
 
 
+def test_closed_stdout_is_one_error_line_and_exit_2():
+    # `trickle example kjn --n 5 | true`: 288 kB, more than a pipe holds, so a
+    # write fails once the reader has gone, whenever it goes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "trickle.cli", "example", "kjn", "--n", "5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 2
+    assert stderr == "error: standard output was closed\n"
+
+
 def test_import_loads_no_command_module():
     # -S: a site hook may import modules of its own; the package must not
     code = ("import sys, trickle.cli; print(' '.join(sorted(m for m in sys.modules if m in "

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -6,8 +7,8 @@ import pytest
 from corrupt import broken_a, broken_b, broken_c, broken_d, broken_e, broken_f, broken_g
 from trickle import confluence as conf
 from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
-from trickle.graph import INFINITY, GraphError, TrickleGraph
-from trickle.pilings import _LEAF, make_stratum, normalize, product, push_syllable
+from trickle.graph import INFINITY, GraphError, TrickleGraph, validate
+from trickle.pilings import _LEAF, make_stratum, normalize, product, push_syllable, sort_stratum
 
 A, B, C = "[1,3]", "[1,2]", "[2,3]"
 
@@ -352,3 +353,149 @@ def test_strategy_independence_catches_corruption():
     report = conf.check_strategy_independence(broken_g(), random.Random(3),
                                               pilings=400, strategies=12)
     assert not report.ok
+
+
+# ----------------------------------------------------------------------
+# one C2 middle stratum per symmetry orbit
+
+
+def brute_force_symmetries(g):
+    """Every vertex permutation, as a tuple of kernel ids, that keeps
+    adjacency, the order, the labels and the star maps."""
+    vs = g.vertices
+    for p in itertools.permutations(range(len(vs))):
+        s = dict(zip(vs, (vs[i] for i in p)))
+        keeps_edges_and_order = all(
+            g.edge(x, y) == g.edge(s[x], s[y]) and g.less(x, y) == g.less(s[x], s[y])
+            for x in vs for y in vs if x != y)
+        if keeps_edges_and_order and all(
+                g.mu(x) == g.mu(s[x]) and all(s[g.phi(x, y)] == g.phi(s[x], s[y])
+                                              for y in g.star(x)) for x in vs):
+            yield p
+
+
+def closure(gens, n):
+    """The group the permutations ``gens`` of range(n) generate."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    for p in todo:
+        for q in gens:
+            r = tuple(q[i] for i in p)
+            if r not in group:
+                group.add(r)
+                todo.append(r)
+    return group
+
+
+SMALL = [(name, make) for name, make in FIXTURES.items() if len(make().vertices) <= 7]
+SMALL += [(f"dual({name})", lambda make=make: make().dual()) for name, make in SMALL]
+
+
+@pytest.mark.parametrize("make", [make for _, make in SMALL], ids=[name for name, _ in SMALL])
+def test_symmetry_search_finds_the_brute_force_group(make):
+    g = make()
+    gens, order = conf._symmetries(g)
+    expected = set(brute_force_symmetries(g))
+    assert closure(gens, len(g.vertices)) == expected and order == len(expected)
+
+
+@pytest.mark.parametrize("make", [broken_a, broken_b, broken_c, broken_d, broken_e, broken_f,
+                                  broken_g])
+def test_symmetry_search_on_corrupted_graphs(make):
+    g = make()
+    found = conf._symmetries(g)
+    # (b) and (d) are read off the kernel; without them there is no reduction
+    assert (found is None) == bool({"b", "d"} & set(validate(g).axioms_violated()))
+    if found is not None:
+        expected = set(brute_force_symmetries(g))
+        assert closure(found[0], len(g.vertices)) == expected and found[1] == len(expected)
+
+
+def test_symmetry_search_gives_up_past_its_budget(monkeypatch):
+    g = fixture("KJ3")
+    assert conf._symmetries(g)[1] == 72
+    monkeypatch.setattr(conf, "SYMMETRY_BUDGET", 5)
+    assert conf._symmetries(g) is None
+    report = conf.check_critical_pairs(g, 3, 2)
+    assert report.ok and report.pairs_checked == 1596 and report.group_order == 1
+
+
+def unreduced(g, bounds, fail_limit):
+    return conf._check(g, conf.enumerate_strata(g, *bounds), fail_limit, None)
+
+
+REDUCTION_CASES = ([(name, make, bounds) for name, make in FIXTURES.items()
+                    for bounds in ((2, 1), (3, 2))] +
+                   [(make.__name__, make, bounds) for make in (broken_a, broken_b, broken_c,
+                                                               broken_d, broken_e, broken_f)
+                    for bounds in ((2, 1), (3, 2))] + [("broken_g", broken_g, (2, 1))])
+
+
+@pytest.mark.parametrize("make, bounds", [case[1:] for case in REDUCTION_CASES],
+                         ids=[f"{name}-{b[0]}-{b[1]}" for name, _, b in REDUCTION_CASES])
+def test_reduced_check_reports_as_the_unreduced_one(make, bounds):
+    g = make()
+    for limit in (1, 3, 200):
+        report = conf.check_critical_pairs(g, *bounds, fail_limit=limit)
+        full = unreduced(g, bounds, limit)
+        assert (report.pairs_checked, report.failures) == (full.pairs_checked, full.failures)
+        if full.ok:
+            break
+
+
+def gar_like(seed):
+    """A complete graph like GAR3: incomparable bottoms under a chain of
+    tops, each top's star map a seeded permutation of the bottoms, seeded
+    labels.  A symmetry that swaps two bottoms reverses a ranked edge."""
+    rng = random.Random(seed)
+    bottoms = [f"b{i}" for i in range(rng.randint(2, 3))]
+    tops = [f"t{i}" for i in range(rng.randint(1, 2))]
+    verts = bottoms + tops
+    mu = {v: rng.choice([2, 3, INFINITY]) for v in verts}
+    if rng.random() < 0.5:
+        mu.update(dict.fromkeys(bottoms, rng.choice([2, 3, INFINITY])))
+    phi = {t: dict(zip(bottoms, rng.sample(bottoms, len(bottoms)))) for t in tops}
+    less = [(b, t) for b in bottoms for t in tops] + list(zip(tops, tops[1:]))
+    return TrickleGraph.build(verts, mu, list(itertools.combinations(verts, 2)), less, phi,
+                              name=f"gar-like-{seed}")
+
+
+def test_reduced_check_on_graphs_whose_symmetries_reverse_a_ranked_edge():
+    seen = set()
+    for seed in range(12):
+        g = gar_like(seed)
+        found = conf._symmetries(g)
+        n = len(g.vertices)
+        reverses = found is not None and any(
+            p[x] > p[y] for p in closure(found[0], n) for x in range(n) for y in range(x + 1, n))
+        for limit in (1, 200):
+            report = conf.check_critical_pairs(g, 2, 1, fail_limit=limit)
+            full = unreduced(g, (2, 1), limit)
+            assert (report.pairs_checked, report.failures) == (full.pairs_checked, full.failures)
+        seen.add((reverses, full.ok))
+    # symmetries that reverse a ranked edge, on graphs that pass and that fail
+    assert {(True, True), (True, False)} <= seen
+
+
+@pytest.mark.parametrize("name", ["J5", "GAR3", "CSTAR", "RAAG-C6", "KJ3", "KJ4"])
+def test_each_c2_orbit_has_equal_unit_pair_counts(name):
+    g = fixture(name)
+    strata = conf.enumerate_strata(g, 3, 2)
+    firsts, order = conf._orbit_firsts(g, strata)
+    gens = [dict(zip(g.vertices, (g.vertices[i] for i in p))) for p in conf._symmetries(g)[0]]
+    counts = {V: len(heads) * len(incoming)
+              for case, V, incoming, heads in (u for u in conf._units(g, strata) if u[0] == "C2")}
+    orbits = 0
+    for V in counts:
+        orbit, todo = {V}, [V]
+        for U in todo:
+            for s in gens:
+                W = sort_stratum(g, [(s[v], a) for v, a in U])
+                assert W in counts
+                if W not in orbit:
+                    orbit.add(W)
+                    todo.append(W)
+        assert len({counts[U] for U in orbit}) == 1
+        assert len(orbit & firsts) == 1 and min(orbit, key=list(counts).index) in firsts
+        orbits += V in firsts
+    report = conf.check_critical_pairs(g, 3, 2)
+    assert report.c2_evaluated == orbits < len(counts) and report.group_order == order > 1

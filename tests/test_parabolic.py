@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +180,21 @@ def test_star_walk_matches_the_pairwise_walk():
                     got = parabolic_subgraph(g, X).graph()
                     assert got.tables() == pairwise_induce(g, X).tables(), (name, X)
     assert parabolic == 420
+
+
+def test_unsound_star_map_answers_alike_under_every_hash_seed():
+    # phi_x sends y and z both to z; X and its stars are sets, walked in ranking order
+    code = ("from trickle.graph import GraphError, TrickleGraph\n"
+            "from trickle.parabolic import is_parabolic\n"
+            "g = TrickleGraph.build('xyz', 2, [('x', 'y'), ('x', 'z'), ('y', 'z')],\n"
+            "                       phi={'x': {'y': 'z', 'z': 'z'}})\n"
+            "try:\n"
+            "    print(is_parabolic(g, {'x', 'y'}))\n"
+            "except GraphError as e:\n"
+            "    print('error:', e)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    answers = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+                              ).stdout for seed in range(6)}
+    assert answers == {"error: phi_'x' is not injective: 'y' and 'z' both map to 'z'\n"}
