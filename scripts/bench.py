@@ -11,7 +11,8 @@ line and one row per (fixture, letters): the cold and best times in
 seconds, the number of strata in the normal form and a digest of it, so
 two records of one seed can also be checked for equal normal forms.
 Then ``check_critical_pairs``
-runs once per fixture at support 3 and exponent 2; its rows hold the
+runs once per fixture at support 3 and exponent 2, and on RAAG-C6 at
+support 2 and exponent 4; its rows hold the
 pair count, the verdict, the order of the symmetry group the check was
 reduced by, the C2 units it evaluated and the time of that one run.  Then
 ``check_strategy_independence`` runs once per fixture on 1000 random
@@ -81,7 +82,8 @@ FIXTURES = ("J5", "CSTAR", "KJ4", "RAAG-C6", "RACG-C6")
 LETTERS = (200, 400, 800, 1600, 3200, 6400, 12800)
 REPEATS = 3
 PAIR_FIXTURES = ("J5", "GAR3", "KJ4", "RAAG-C6")
-PAIR_BOUNDS = (3, 2)
+# (fixture, max_support, max_exp) of each critical-pair row
+PAIR_CASES = tuple((name, 3, 2) for name in PAIR_FIXTURES) + (("RAAG-C6", 2, 4),)
 SAMPLES, STRATEGIES, SAMPLE_SEED = 1000, 20, 100
 WORD_LETTERS = (50, 100, 200, 400, 800)
 WORDS = 10
@@ -246,15 +248,15 @@ def measure(cal, seed):
                   flush=True)
 
     pairs = []
-    for name in PAIR_FIXTURES:
+    for name, *bounds in PAIR_CASES:
         g = fixture(name)
-        seconds, raw, report = timed(cal, lambda: check_critical_pairs(g, *PAIR_BOUNDS))
-        pairs.append({"fixture": name, "bounds": list(PAIR_BOUNDS),
+        seconds, raw, report = timed(cal, lambda: check_critical_pairs(g, *bounds))
+        pairs.append({"fixture": name, "bounds": bounds,
                       "pairs_checked": report.pairs_checked, "ok": report.ok,
                       "group_order": report.group_order, "c2_evaluated": report.c2_evaluated,
                       "seconds": round(seconds, 3), "seconds_raw": round(raw, 3)})
-        print(f"{name:8} {report.pairs_checked:>9} pairs {seconds:>8.2f} s, group order "
-              f"{report.group_order}, {report.c2_evaluated} C2 units", flush=True)
+        print(f"{name:8} {tuple(bounds)} {report.pairs_checked:>9} pairs {seconds:>8.2f} s, "
+              f"group order {report.group_order}, {report.c2_evaluated} C2 units", flush=True)
 
     samples = []
     for name in PAIR_FIXTURES:

@@ -68,9 +68,27 @@ system is not confluent could the irreducible forms the check picks for
 an image pair still differ.  Without (d) the argument fails: at (2, 1),
 8 of ``broken_d``'s 18 middle strata fail on other pair counts than
 their images under its order-2 symmetry, and its 9,556 failures would
-fall to 5,664.  A reduced check that finds a failure is run again over
-every unit, so failures and witnesses are those of the full check.  A
-unit left out still adds its own pair count.
+fall to 5,664.
+
+The group also holds, for each class C of y ~ phi_x(y) that ``_negations``
+admits, the map sigma_C that negates the exponent a of each syllable over
+C, mod its label.  It keeps every vertex and so the ranking, needs neither
+(b) nor (d), and sends the one move at a pair to the move at its image.
+Extraction conjugates by phi_x^a for the syllables above the mover; for x
+in C the sign of a flips, and phi_x^-a = phi_x^a, since phi_x is an
+involution whose order divides mu(x).  The mover keeps its exponent and
+stays in its class, which has one label, so its residue negates
+consistently.  Landing reads supports only; merges add exponents, and
+negation commutes with a + b and with its vanishing; the pull-back
+phi_y^-b flips sign only for y in C, where phi_y is an involution.
+Symmetries map admitted classes onto admitted classes, so the group is
+(Z/2)^k x| Perm.  The one label per class is needed: negating the class
+{x, y, z} of ``broken_f``, labelled 2, 2 and 4, changes the move at 108
+of its pairs at (2, 2).
+
+A reduced check that finds a failure is run again over every unit, so
+failures and witnesses are those of the full check.  A unit left out
+still adds its own pair count.
 """
 
 from __future__ import annotations
@@ -91,10 +109,10 @@ from .pilings import (_UNSEEN, _StepTable, _kernel_stratum, _settle, _stratum_ad
 # Most strata one enumeration may build.  The work grows much faster than the
 # strata: on a 2-core x86-64 host, KJ4 at support 3 and exponent 2 has 361
 # strata and 1.5M pairs, and RAAG-C6 at (2, 4) has 433 strata and 35M pairs.
-# Reduced by their symmetries (orders 48 and 12) they are checked in 0.19 s
-# and 20 MB max RSS and in 2.8 s and 67 MB; a graph with no symmetry pays
-# what every unit costs, which on these two was 2.0-3.0 s and 122 MB and
-# 14.5-20 s and 309 MB.
+# Reduced by their symmetry groups (orders 48 and 768) they are checked in
+# 0.14-0.19 s and 20 MB max RSS and in 0.7-0.8 s and 45 MB; a graph with no
+# symmetry pays what every unit costs, which on these two was 2.0-3.0 s and
+# 122 MB and 14.5-20 s and 309 MB.
 MAX_STRATA = 500
 
 # Most candidate images the symmetry search may try; past it the check runs
@@ -504,8 +522,9 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
     Where the graph has symmetries, only the C2 units whose middle stratum
     comes first in its orbit are evaluated, and a failure there sends the
     check back over every unit (module docstring).  The report's
-    ``group_order`` is the order of the group the check was reduced by (1
-    when it was not) and ``c2_evaluated`` counts the C2 units evaluated.
+    ``group_order`` is the order of the group the check was reduced by,
+    2^k times the number of symmetries for k negated classes (1 when it
+    was not reduced), and ``c2_evaluated`` counts the C2 units evaluated.
     """
     if fail_limit < 1:
         raise GraphError(f"fail_limit must be at least 1, got {fail_limit}")
@@ -521,16 +540,46 @@ def check_critical_pairs(graph, max_support=3, max_exp=2, fail_limit=10) -> Conf
     return report
 
 
+def _negations(graph):
+    """The classes of y ~ phi_x(y) whose exponents may be negated, as dicts
+    from vertex to kernel label: those of one label, not 2, on which every
+    star map is an involution, of even label where it moves a vertex; none
+    unless every star map is a bijection."""
+    k = graph.kernel()
+    pw, mu, root = k.pw, k.mu, list(range(len(k.pw)))
+    if None in pw:
+        return []
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for p in pw:
+        for c, i in p.values():
+            root[find(c[i])] = find(c[0])
+    classes = [list(C) for _, C in itertools.groupby(sorted(range(len(pw)), key=find), find)]
+    return [{graph.vertices[x]: mu[x] for x in C} for C in classes
+            if len({mu[x] for x in C}) == 1 and mu[C[0]] != 2
+            and all(len(c) == 2 and mu[x] % 2 == 0 for x in C for c, _ in pw[x].values())]
+
+
 def _orbit_firsts(graph, strata):
-    """The strata that come first in their orbit under the graph's
-    symmetries, the orbits taken as the closure under the generators of
-    ``_symmetries``, and the group's order; None when it finds none but
-    the identity."""
+    """The strata that come first in their orbit under the group generated
+    by the symmetries of ``_symmetries`` and the class negations of
+    ``_negations``, the orbits taken as the closure under the generators,
+    and the group's order; None when the group is trivial."""
     found = _symmetries(graph)
-    if found is None or found[1] == 1:
-        return None
+    gens, order = found if found is not None else ((), 1)
     verts = graph.vertices
-    maps = [dict(zip(verts, [verts[i] for i in g])) for g in found[0]]
+    maps = [lambda S, m=dict(zip(verts, [verts[i] for i in g])):
+            sort_stratum(graph, [(m[v], a) for v, a in S]) for g in gens]
+    for C in _negations(graph):     # vertices stay, so a stratum keeps its order
+        maps.append(lambda S, C=C: tuple([(v, a if v not in C else -a % C[v] if C[v] else -a)
+                                          for v, a in S]))
+        order *= 2
+    if order == 1:
+        return None
     seen, firsts = set(), set()
     for S in strata:
         if S not in seen:
@@ -539,11 +588,11 @@ def _orbit_firsts(graph, strata):
             todo = [S]
             for T in todo:      # grows as it is read
                 for m in maps:
-                    R = sort_stratum(graph, [(m[v], a) for v, a in T])
+                    R = m(T)
                     if R not in seen:
                         seen.add(R)
                         todo.append(R)
-    return firsts, found[1]
+    return firsts, order
 
 
 def _check(graph, strata, fail_limit, firsts):

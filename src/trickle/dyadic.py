@@ -7,7 +7,8 @@ import reprlib
 # Largest e accepted in a parsed n/2**e: one such number holds 1.25 MB.
 MAX_PARSED_EXP = 10 ** 7
 # Least e for which 2**e has more than 4300 decimal digits, CPython's default
-# int-to-str limit; from there on a denominator is written 2**e.
+# int-to-str limit; from there on a denominator is written 2**e, and a
+# numerator of e bits or more in hex, which int() reads in linear time.
 POWER_FORM_EXP = (10 ** 4300).bit_length()
 
 
@@ -38,10 +39,11 @@ class Dyadic:
         p, slash, q = text.partition("/")
         power = q.startswith("2**")
         try:
-            num, den = int(p), int(q[3:] if power else q) if slash else 1
+            num = int(p, 16 if p.lstrip("+-").startswith("0x") else 10)
+            den = int(q[3:] if power else q) if slash else 1
         except ValueError:
             raise ValueError(f"{reprlib.repr(text)} is not a dyadic rational "
-                             "like 3, 3/8 or 3/2**3") from None
+                             "like 3, 3/8, 3/2**3 or 0x3/8") from None
         if power:
             if not 0 <= den <= MAX_PARSED_EXP:
                 raise ValueError(f"{reprlib.repr(text)}: the exponent of 2 must lie "
@@ -52,12 +54,14 @@ class Dyadic:
         return cls(num, den.bit_length() - 1)
 
     def __str__(self):
-        """n, n/d, or n/2**e where d would have more than 4300 digits."""
+        """n, n/d, or n/2**e where d would have more than 4300 digits; n in
+        hex from POWER_FORM_EXP bits on, where it could have more."""
+        num = self.num if self.num.bit_length() < POWER_FORM_EXP else hex(self.num)
         if self.exp == 0:
-            return str(self.num)
+            return str(num)
         if self.exp >= POWER_FORM_EXP:
-            return f"{self.num}/2**{self.exp}"
-        return f"{self.num}/{1 << self.exp}"
+            return f"{num}/2**{self.exp}"
+        return f"{num}/{1 << self.exp}"
 
     def __repr__(self):
         return f"Dyadic({self})"

@@ -338,7 +338,6 @@ HUGE_DENOMINATOR = str(decimal.Context(prec=5000).power(2, 15000))
     ["example", "cactus", "--n", "200"],
     ["example", "raag", "--n", "10000"],
     ["f", "nf", "--", "-1/2 0^2000000"],
-    ["f", "nf", "--", "-1/2**20000 inf^-1"],
     ["divisors", "long-complete", LONG_ID + "^-1"],
     ["example", LONG_ID],
     ["nf", "gar3", "x", LONG_ID],
@@ -346,7 +345,7 @@ HUGE_DENOMINATOR = str(decimal.Context(prec=5000).power(2, 15000))
 ], ids=[*BAD_GRAPHS, "f-nf-not-dyadic", "f-eq-not-a-number", "f-nf-huge-denominator",
         "eq-unknown-token", "example-raag-n-0", "example-racg-cycle-n-negative",
         "example-kjn-n-7", "example-gp-no-base", "vjn-eq-n-7", "example-cactus-n-200", "example-raag-n-10000",
-        "f-nf-power-past-the-cap", "f-nf-huge-numerator", "divisors-not-positive-long-id",
+        "f-nf-power-past-the-cap", "divisors-not-positive-long-id",
         "example-unknown-family-long", "nf-extra-argument-long", "sweep-unknown-fixture-long"])
 def test_bad_input_is_one_error_line_and_exit_2(tmp_path, paths, args):
     files = dict(paths)
@@ -431,6 +430,16 @@ def test_f_nf_far_power_prints_2_to_the_e_and_parses_back():
     word = "-1/2 0^1000000"
     result = _python("-m", "trickle.cli", "f", "nf", "--", word)
     assert (result.returncode, result.stdout) == (0, "0^1000000 -1/2**1000001\n"), result.stderr
+    result = _python("-m", "trickle.cli", "f", "eq", "--", result.stdout.strip(), word)
+    assert (result.returncode, result.stdout) == (0, "equal\n"), result.stderr
+
+
+def test_f_nf_prints_a_numerator_past_the_digit_limit_in_hex():
+    # the normal form holds (2**20000 + 1)/2**20000, 6,021 digits in decimal
+    word = "-1/2**20000 inf^-1"
+    result = _python("-m", "trickle.cli", "f", "nf", "--", word)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"inf^-1 -{hex((1 << 20000) + 1)}/2**20000\n"
     result = _python("-m", "trickle.cli", "f", "eq", "--", result.stdout.strip(), word)
     assert (result.returncode, result.stdout) == (0, "equal\n"), result.stderr
 

@@ -6,9 +6,10 @@ import pytest
 
 from corrupt import broken_a, broken_b, broken_c, broken_d, broken_e, broken_f, broken_g
 from trickle import confluence as conf
-from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3
+from trickle.families import FIXTURES, cactus, dual_cactus_s3, fixture, gar3, graph_product
 from trickle.graph import INFINITY, GraphError, TrickleGraph, validate
-from trickle.pilings import _LEAF, make_stratum, normalize, product, push_syllable, sort_stratum
+from trickle.pilings import (_LEAF, _step, make_stratum, normalize, product, push_syllable,
+                             sort_stratum)
 
 A, B, C = "[1,3]", "[1,2]", "[2,3]"
 
@@ -476,20 +477,157 @@ def test_reduced_check_on_graphs_whose_symmetries_reverse_a_ranked_edge():
     assert {(True, True), (True, False)} <= seen
 
 
+def graph_product_like(seed):
+    """A seeded graph product on 3-5 vertices with labels from {2, 3, 4,
+    INFINITY}: every star map is the identity, so each vertex is a class of
+    its own, negated unless its label is 2."""
+    rng = random.Random(seed)
+    verts = [f"v{i}" for i in range(rng.randint(3, 5))]
+    edges = [e for e in itertools.combinations(verts, 2) if rng.random() < 0.6]
+    return graph_product(verts, edges, {v: rng.choice([2, 3, 4, INFINITY]) for v in verts},
+                         name=f"graph-product-{seed}")
+
+
+def star_map_classes(g):
+    """The classes of the equivalence y ~ phi_x(y), by a union-find over ``g.phi``."""
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for x in g.vertices:
+        for y in g.star(x):
+            root[find(y)] = find(g.phi(x, y))
+    classes = {}
+    for v in g.vertices:
+        classes.setdefault(find(v), set()).add(v)
+    return list(classes.values())
+
+
+def admitted(g, C):
+    """Every star map of C an involution, of even label where it moves a
+    vertex, and one label on C that is not 2."""
+    labels = {g.mu(x) for x in C}
+    even = {x for x in C if g.mu(x) == INFINITY or g.mu(x) % 2 == 0}
+    return len(labels) == 1 and labels != {2} and all(
+        g.phi(x, g.phi(x, y)) == y and (g.phi(x, y) == y or x in even)
+        for x in C for y in g.star(x))
+
+
+def negation(g, C):
+    """sigma_C on strata: each syllable (v, a) with v in C becomes (v, -a)."""
+    def neg(v, a):
+        return -a if g.mu(v) == INFINITY else -a % g.mu(v)
+    return lambda S: tuple([(v, neg(v, a) if v in C else a) for v, a in S])
+
+
+def permutation(g, p):
+    """The vertex permutation p, as kernel ids, on strata."""
+    s = dict(zip(g.vertices, (g.vertices[i] for i in p)))
+    return lambda S: sort_stratum(g, [(s[v], a) for v, a in S])
+
+
+def group_generators(g):
+    """The generators of the group ``_orbit_firsts`` reduces by, on strata:
+    the symmetries of ``_symmetries``, then the negations of ``_negations``."""
+    found = conf._symmetries(g)
+    return ([permutation(g, p) for p in (found[0] if found else ())],
+            [negation(g, C) for C in conf._negations(g)])
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GraphError:
+        return "raises"
+
+
+def moves(g, U, V):
+    """The pushes out of V that land in U, as a set."""
+    return {outcome(push_syllable, g, U, V, s) for s in V} - {None}
+
+
+def image(f, t):
+    return t if t is None or t == "raises" else tuple(f(T) for T in t)
+
+
+COMMUTATION_STRATA = 24     # strata per graph, spread over the enumeration
+COMMUTATION_GRAPHS = ([make() for make in FIXTURES.values()] +
+                      [make().dual() for make in FIXTURES.values()] +
+                      [make() for make in (broken_a, broken_b, broken_c, broken_d, broken_e,
+                                           broken_f, broken_g)])
+
+
+@pytest.mark.parametrize("graphs", [COMMUTATION_GRAPHS, [gar_like(seed) for seed in range(40)],
+                                    [graph_product_like(seed) for seed in range(30)]],
+                         ids=["fixtures-duals-corrupt", "gar-like", "graph-products"])
+def test_every_generator_maps_moves_to_moves(graphs):
+    """A symmetry maps the moves at (U, V) onto those at its image; a
+    negation keeps the ranking, so it also commutes with the one move
+    ``_step`` makes.  A symmetry that reverses a ranked pair may not: the
+    first mover to land at (U, V) can map to a later one."""
+    negations = 0
+    for g in graphs:
+        strata = conf.enumerate_strata(g, 2, 2)
+        strata = strata[::-(-len(strata) // COMMUTATION_STRATA)]
+        perms, negs = group_generators(g)
+        negations += len(negs)
+        for U, V in itertools.product(strata, strata[1:]):
+            here, step = moves(g, U, V), outcome(_step, g, U, V)
+            for f in perms + negs:
+                assert moves(g, f(U), f(V)) == {image(f, t) for t in here}, (g.name, U, V)
+                if f in negs:
+                    assert outcome(_step, g, f(U), f(V)) == image(f, step), (g.name, U, V)
+    assert negations > 0
+
+
+def test_negating_a_class_whose_labels_differ_breaks_a_move():
+    # broken_f's star map of u cycles x, y, z, labelled 2, 2 and 4: that class
+    # would be admitted but for its labels, and negating it breaks a move
+    g = broken_f()
+    C = next(C for C in star_map_classes(g) if "z" in C)
+    assert C == {"x", "y", "z"} and conf._negations(g) == []
+    f = negation(g, C)
+    strata = conf.enumerate_strata(g, 2, 2)
+    broken = sum(_step(g, f(U), f(V)) != image(f, _step(g, U, V))
+                 for U, V in itertools.product(strata, strata[1:]))
+    assert broken == 108
+
+
+@pytest.mark.parametrize("graphs, kinds", [
+    ([gar_like(seed) for seed in range(12)], {(True, True), (True, False)}),
+    ([graph_product_like(seed) for seed in range(12)], {(True, True)}),
+], ids=["gar-like", "graph-products"])
+def test_reduced_check_at_exponent_two(graphs, kinds):
+    seen = set()
+    for g in graphs:
+        for limit in (1, 200):
+            report = conf.check_critical_pairs(g, 2, 2, fail_limit=limit)
+            full = unreduced(g, (2, 2), limit)
+            assert (report.pairs_checked, report.failures) == (full.pairs_checked, full.failures)
+            if full.ok:
+                break
+        seen.add((bool(conf._negations(g)), full.ok))
+    # negated classes on graphs that pass and, among the gar-like ones, that fail
+    assert kinds <= seen
+
+
 @pytest.mark.parametrize("name", ["J5", "GAR3", "CSTAR", "RAAG-C6", "KJ3", "KJ4"])
 def test_each_c2_orbit_has_equal_unit_pair_counts(name):
     g = fixture(name)
     strata = conf.enumerate_strata(g, 3, 2)
     firsts, order = conf._orbit_firsts(g, strata)
-    gens = [dict(zip(g.vertices, (g.vertices[i] for i in p))) for p in conf._symmetries(g)[0]]
+    perms, negs = group_generators(g)
     counts = {V: len(heads) * len(incoming)
               for case, V, incoming, heads in (u for u in conf._units(g, strata) if u[0] == "C2")}
     orbits = 0
     for V in counts:
         orbit, todo = {V}, [V]
         for U in todo:
-            for s in gens:
-                W = sort_stratum(g, [(s[v], a) for v, a in U])
+            for s in perms + negs:
+                W = s(U)
                 assert W in counts
                 if W not in orbit:
                     orbit.add(W)
@@ -499,3 +637,7 @@ def test_each_c2_orbit_has_equal_unit_pair_counts(name):
         orbits += V in firsts
     report = conf.check_critical_pairs(g, 3, 2)
     assert report.c2_evaluated == orbits < len(counts) and report.group_order == order > 1
+    n = len(g.vertices)
+    symmetries = (len(set(brute_force_symmetries(g))) if n <= 7
+                  else len(closure(conf._symmetries(g)[0], n)))
+    assert order == symmetries * 2 ** sum(admitted(g, C) for C in star_map_classes(g))

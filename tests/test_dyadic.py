@@ -52,6 +52,20 @@ def test_str_writes_2_to_the_e_only_past_the_digit_limit():
     assert str(D(-1, 1000001)) == "-1/2**1000001"
 
 
+def test_str_writes_a_numerator_past_the_digit_limit_in_hex():
+    first = POWER_FORM_EXP
+    for bits in range(first - 3, first + 4):
+        for num in (1 << (bits - 1)) + 1, -(1 << (bits - 1)) - 1:
+            for exp in (0, 5, first):
+                x = D(num, exp)
+                text = str(x)
+                assert text.lstrip("-").startswith("0x") == (bits >= first)
+                assert D.parse(text) == x
+    x = D((1 << MAX_PARSED_EXP) + 1, MAX_PARSED_EXP)
+    assert D.parse(str(x)) == x
+    assert D.parse("-0x1f/8") == D(-31, 3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(dyadics)
 def test_parse_round_trip(x):
