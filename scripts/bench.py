@@ -17,7 +17,12 @@ pair count, the verdict, the order of the symmetry group the check was
 reduced by, the C2 units it evaluated and the time of that one run.  Then
 ``check_strategy_independence`` runs once per fixture on 1000 random
 pilings under 20 strategies each, seeded with ``Random(100)``; its rows
-hold the sample count, the verdict and the time.  Next,
+hold the sample count, the verdict and the time.  Then it runs at the
+perfbench ``confluence`` call size, CALLS calls of CALL_PILINGS pilings
+on one graph object per fixture: the first CALLS calls, which fill the
+graph's move memo, and the next CALLS, which read it, are timed apart,
+and each row holds both times and the strata and pairs the memo holds at
+the end.  Next,
 ``from_syllables`` runs on batches of ten words at the lengths of the
 perfbench ``wordproblem`` workload; each row holds the cold time of the
 batch on a fresh copy of the graph, the best of three more and a digest
@@ -85,6 +90,7 @@ PAIR_FIXTURES = ("J5", "GAR3", "KJ4", "RAAG-C6")
 # (fixture, max_support, max_exp) of each critical-pair row
 PAIR_CASES = tuple((name, 3, 2) for name in PAIR_FIXTURES) + (("RAAG-C6", 2, 4),)
 SAMPLES, STRATEGIES, SAMPLE_SEED = 1000, 20, 100
+CALLS, CALL_PILINGS = 60, 10
 WORD_LETTERS = (50, 100, 200, 400, 800)
 WORDS = 10
 TABLE_FIXTURES = FIXTURES + ("GAR3",)
@@ -269,6 +275,24 @@ def measure(cal, seed):
                         "seconds_raw": round(raw, 3)})
         print(f"{name:8} {report.samples_checked:>9} samples {seconds:>6.2f} s", flush=True)
 
+    calls = []
+    for name in PAIR_FIXTURES:
+        g = fixture(name)
+        rng = random.Random(f"{seed}:calls:{name}")
+        row = {"fixture": name, "calls": CALLS, "pilings": CALL_PILINGS,
+               "strategies": STRATEGIES}
+        for memo in ("cold", "warm"):
+            seeds = [rng.getrandbits(32) for _ in range(CALLS)]
+            seconds, raw, _ = timed(cal, lambda: [check_strategy_independence(
+                g, random.Random(s), CALL_PILINGS, STRATEGIES) for s in seeds])
+            row[f"{memo}_s"], row[f"{memo}_s_raw"] = round(seconds, 4), round(raw, 4)
+        moves = g.kernel().moves
+        row.update(strata=len(moves.names), pairs=moves.pairs)
+        calls.append(row)
+        print(f"{name:8} {CALLS} calls of {CALL_PILINGS} pilings {row['cold_s']:>6.3f} s cold "
+              f"{row['warm_s']:>6.3f} s warm, memo {row['strata']} strata {row['pairs']} pairs",
+              flush=True)
+
     words = []
     for name in FIXTURES:
         g = fixture(name)
@@ -323,8 +347,8 @@ def measure(cal, seed):
                   f"(median of {COLD_STARTS})", flush=True)
 
     return {"normalize": rows, "critical_pairs": pairs, "strategy_independence": samples,
-            "from_syllables": words, "step_tables": tables, "wordproblem_passes": passes,
-            "kernel_compile": kernels, "cli_cold_start": starts}
+            "strategy_calls": calls, "from_syllables": words, "step_tables": tables,
+            "wordproblem_passes": passes, "kernel_compile": kernels, "cli_cold_start": starts}
 
 
 def main():

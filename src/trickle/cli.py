@@ -26,8 +26,8 @@ USAGE = 2
 MAX_N = {"raag": 2000, "racg": 2000, "cactus": 25, "kjn": 6, "vjn": 6}
 
 # Largest `confluence --samples`: each sample is reduced under 20 random
-# strategies, and 10,000 samples take about 4 s on GAR3 at the default
-# bounds on a 2-core x86-64 host.
+# strategies, and 10,000 samples take 2.2-2.9 s on GAR3 at the default
+# bounds, the whole command 2.9-4.5 s wall, on a 2-core x86-64 host.
 MAX_SAMPLES = 10_000
 
 
@@ -228,22 +228,30 @@ def vjn_eq_cmd(args):
     return _answer(vjn_equal(args.n, args.word1, args.word2), "equal", "not equal")
 
 
+def _stdin_words(*words):
+    """The words, one ``-`` read from stdin (a normal form may pass an argument's size limit)."""
+    if words.count("-") > 1:
+        _fail("at most one word may be read from stdin ('-')")
+    return [sys.stdin.read() if w == "-" else w for w in words]
+
+
 def f_nf_cmd(args):
-    """Normal form of a word over the dyadic homeomorphism group."""
+    """Normal form of a word over the dyadic homeomorphism group ('-' reads stdin)."""
     from .pilings import element_from_text
     from .thompson import f_graph
 
-    print(element_from_text(f_graph(), args.word).nf_str() or "(identity)")
+    word, = _stdin_words(args.word)
+    print(element_from_text(f_graph(), word).nf_str() or "(identity)")
 
 
 def f_eq_cmd(args):
-    """Are two words over the dyadic homeomorphism group equal?"""
+    """Are two words over the dyadic homeomorphism group equal?  ('-' reads stdin)"""
     from .pilings import element_from_text
     from .thompson import f_graph
 
     g = f_graph()
-    same = element_from_text(g, args.word1) == element_from_text(g, args.word2)
-    return _answer(same, "equal", "not equal")
+    w1, w2 = _stdin_words(args.word1, args.word2)
+    return _answer(element_from_text(g, w1) == element_from_text(g, w2), "equal", "not equal")
 
 
 # ----------------------------------------------------------------------

@@ -32,12 +32,13 @@ left-hand product has its row of products with the incoming strata read
 once, and each right-hand row forms its inner products once per
 distinct middle stratum V + gz before reading the outer products from
 their rows; the rows are compared as a whole.
-The strategy-independence check holds strata as ints for one call,
-extracts the movers of each of them once and searches the landing
-pushes of each pair of them once.  The strategies of one piling walk
-one move graph, built as their draws first take each move, so a piling
-an earlier strategy reached is stepped through by lookups; the draws
-are those of a fresh search at every step.
+The strategy-independence check holds strata as ints in a memo on the
+graph's kernel, kept across calls and replaced as the step table is, so
+the movers of each stratum and the landing pushes of each pair are
+searched once per graph.  The strategies of one piling walk one move
+graph, built as their draws first take each move, so a piling an earlier
+strategy reached is stepped through by lookups; the draws are those of a
+fresh search at every step.
 ``resolve`` and the failure witnesses both ``normalize`` the two
 successors, so a False answer always comes with two distinct irreducible
 forms as evidence.
@@ -97,13 +98,14 @@ import bisect
 import functools
 import itertools
 import random
+import threading
 from collections import namedtuple
 from types import SimpleNamespace
 
 from .graph import INFINITY, GraphError
-from .pilings import (_UNSEEN, _StepTable, _kernel_stratum, _settle, _stratum_add,
-                      normalize, push_syllable, sort_stratum, stratum_can_add,
-                      stratum_extract, stratum_remove)
+from .pilings import (_STRATUM_WEIGHT, _TABLE_BOUND, _UNSEEN, _StepTable, _kernel_stratum,
+                      _settle, _stratum_add, normalize, push_syllable, sort_stratum,
+                      stratum_can_add, stratum_extract, stratum_remove)
 
 
 # Most strata one enumeration may build.  The work grows much faster than the
@@ -705,16 +707,16 @@ def normalize_random_strategy(graph, piling, rng: random.Random):
 
 
 class _Moves:
-    """The moves of random strategies within one call, on strata held as ints.
+    """The moves of random strategies on one graph, on strata held as ints.
 
     ``names[u]`` is the stratum with id u; id 0 is the empty stratum.  A
-    piling is held as its key, the tuple of its stratum ids.  ``movers``
-    maps a stratum's id to its syllables in order, each extracted past the
-    ones above it and paired with the id of the stratum left without it;
-    ``pushes`` maps a pair of ids to the id pairs its landing pushes leave,
-    one for each mover of the right stratum that lands in the left one.
-    Both work on vertex names, so the check does not lean on the kernel's
-    step table that it tests.
+    piling is held as its key, the tuple of its stratum ids.  ``movers[u]``
+    (None until needed) lists u's syllables in order, each extracted past
+    the ones above it and paired with the id of the stratum left without
+    it; ``pushes[u]`` maps v to the id pairs the landing pushes of (u, v)
+    leave, one for each mover of v that lands in u.  Both work on vertex
+    names, so the check does not lean on the kernel's step table that it
+    tests.  ``sid`` interns under a lock, as ``_StepTable.sid`` does.
 
     A walk reads and extends a move graph ``seen``: each piling met maps
     to its node ``(key, count, empties, ends, landings, nexts)``.  Its
@@ -730,13 +732,20 @@ class _Moves:
 
     def __init__(self, graph):
         self.graph, self.ids, self.names = graph, {(): 0}, [()]
-        self.movers, self.pushes = {}, {}
+        self.movers, self.pushes, self.pairs = [None], [{}], 0
+        self.lock = threading.Lock()
 
     def sid(self, U):
         u = self.ids.get(U)
         if u is None:
-            u = self.ids[U] = len(self.names)
-            self.names.append(U)
+            with self.lock:
+                u = self.ids.get(U)
+                if u is None:
+                    u = len(self.names)
+                    self.names.append(U)
+                    self.movers.append(None)
+                    self.pushes.append({})
+                    self.ids[U] = u
         return u
 
     def key(self, piling):
@@ -746,27 +755,28 @@ class _Moves:
         return tuple([self.names[u] for u in key])
 
     def _node(self, seen, key):
-        pairs = list(zip(key, key[1:]))
-        landings = list(map(self.pushes.get, pairs))
+        pushes = self.pushes
+        landings = [pushes[u].get(v) for u, v in zip(key, key[1:])]
         if None in landings:
             for i, ts in enumerate(landings):
                 if ts is None:
-                    landings[i] = self._landings(pairs[i])
+                    landings[i] = self._landings(key[i], key[i + 1])
         empties = [i for i, u in enumerate(key) if not u] if 0 in key else []
         ends = list(itertools.accumulate(map(len, landings)))
         count = len(empties) + (ends[-1] if ends else 0)
         node = seen[key] = (key, count, empties, ends, landings, {})
         return node
 
-    def _landings(self, pair):
-        graph, U, v = self.graph, self.names[pair[0]], pair[1]
-        movers = self.movers.get(v)
+    def _landings(self, u, v):
+        graph, U = self.graph, self.names[u]
+        movers = self.movers[v]
         if movers is None:
             V = self.names[v]
             movers = self.movers[v] = [(stratum_extract(graph, V, s),
                                         self.sid(stratum_remove(V, s))) for s in V]
-        ts = self.pushes[pair] = tuple([(self.sid(_stratum_add(graph, U, g)), w)
+        ts = self.pushes[u][v] = tuple([(self.sid(_stratum_add(graph, U, g)), w)
                                         for g, w in movers if stratum_can_add(graph, U, g)])
+        self.pairs += 1
         return ts
 
     def walk(self, seen, key, rng):
@@ -790,26 +800,40 @@ class _Moves:
                 node = nexts[r] = seen.get(k) or self._node(seen, k)
 
 
+def _moves(kernel):
+    """The kernel's ``_Moves``, a fresh one once its weight, _STRATUM_WEIGHT per
+    stratum plus one per pair, is over _TABLE_BOUND, as for the step table."""
+    moves = kernel.moves
+    if moves is None or _STRATUM_WEIGHT * len(moves.names) + moves.pairs > _TABLE_BOUND:
+        moves = kernel.moves = _Moves(kernel.graph)
+    return moves
+
+
 def check_strategy_independence(graph, rng=None, pilings=1000, strategies=20,
                                 max_support=3, max_exp=2) -> ConfluenceReport:
-    """Many random pilings, each reduced under many random strategies.
+    """Many random pilings of a finite graph, each reduced under many random
+    strategies.
 
     The strategies of one piling walk one move graph (``_Moves``), so a
     piling that an earlier strategy expanded costs a dict lookup per
-    step.  The landing pushes of each pair of strata are searched once
-    per call; move graphs live for one piling.
+    step.  Move graphs live for one piling, the moves in the kernel's
+    memo (``_moves``) for as long as the graph.
     """
     if pilings < 0 or strategies < 1:
         raise GraphError(f"pilings must be at least 0 and strategies at least 1, "
                          f"got {pilings} and {strategies}")
+    if not graph.finite:
+        raise GraphError("the strategy-independence check needs a finite graph")
     rng = rng or random.Random(0)
     report = ConfluenceReport()
-    moves = _Moves(graph)
+    kernel = graph.kernel()
     for _ in range(pilings):
         piling = random_piling(graph, rng, max_support=max_support, max_exp=max_exp)
         report.samples_checked += 1
+        moves = _moves(kernel)
         key, seen = moves.key(piling), {}
-        forms = {moves.names_of(moves.walk(seen, key, rng)) for _ in range(strategies)}
+        # named once per distinct result
+        forms = set(map(moves.names_of, {moves.walk(seen, key, rng) for _ in range(strategies)}))
         forms.add(normalize(graph, piling))
         if len(forms) != 1:
             report.sample_failures.append((piling, sorted(forms)))

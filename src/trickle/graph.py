@@ -154,10 +154,12 @@ class Kernel:
     cycle[(index + a) % len(cycle)], and every other star vertex is fixed.
     The tables grow with the stars, not with n squared.  ``graph`` keeps the
     name oracle for translating back and for errors.  ``table`` caches the
-    moves ``pilings`` makes on these tables, so it never changes an answer.
+    moves ``pilings`` makes on these tables, and ``moves`` the name moves
+    of ``confluence.check_strategy_independence`` (``confluence._Moves``),
+    so neither changes an answer, and both live as long as the graph.
     """
 
-    __slots__ = ("graph", "index", "adj", "mu", "pw", "table")
+    __slots__ = ("graph", "index", "adj", "mu", "pw", "table", "moves")
 
     def __init__(self, graph):
         self.graph = graph
@@ -176,7 +178,7 @@ class Kernel:
                         moved[index[y]] = (ids, i)
                 cycles = moved
             self.pw.append(cycles)
-        self.table = None
+        self.table = self.moves = None
 
 
 class TrickleGraph:

@@ -21,24 +21,29 @@ from .graph import GraphError, TrickleGraph
 from .pilings import GroupElement
 
 
-def _subset_stable(graph, X, x) -> bool:
-    star = (graph.star(x) & X if graph.finite
-            else [y for y in X if y == x or graph.edge(x, y)])
-    return all(graph.phi(x, y) in X and graph.phi_inv(x, y) in X
-               for y in sorted(star, key=graph.sort_key))
-
-
-def is_parabolic(graph, X) -> bool:
-    """Does every star map of X stabilize its star within X?
-
-    X and each star are walked in ranking order, so on a graph with an
-    unsound star map the answer, False or the map's ``GraphError``, does
-    not depend on the hash seed."""
+def _leak(graph, X):
+    """The first "phi_x(y) = z" or "phi_x^-1(y) = z" with x in X, y in its
+    star within X and z outside X, both walked in ranking order, or None;
+    on an unsound star map, the text or its ``GraphError`` ignores the hash
+    seed."""
     X = frozenset(X)
     unknown = [x for x in X if not graph.contains_vertex(x)]
     if unknown:
         raise GraphError(f"unknown vertex {reprlib.repr(min(unknown, key=repr))}")
-    return all(_subset_stable(graph, X, x) for x in sorted(X, key=graph.sort_key))
+    for x in sorted(X, key=graph.sort_key):
+        star = (graph.star(x) & X if graph.finite
+                else [y for y in X if y == x or graph.edge(x, y)])
+        for y in sorted(star, key=graph.sort_key):
+            for power, phi in (("", graph.phi), ("^-1", graph.phi_inv)):
+                z = phi(x, y)
+                if z not in X:
+                    return f"phi_{reprlib.repr(x)}{power}({reprlib.repr(y)}) = {reprlib.repr(z)}"
+    return None
+
+
+def is_parabolic(graph, X) -> bool:
+    """Does every star map of X stabilize its star within X?"""
+    return _leak(graph, X) is None
 
 
 def downward_closure(graph, X) -> frozenset:
@@ -84,8 +89,9 @@ class ParabolicSubgraph:
 
 def parabolic_subgraph(graph, X) -> ParabolicSubgraph:
     X = frozenset(X)
-    if not is_parabolic(graph, X):
-        raise GraphError("subset is not parabolic: a star map leaves it")
+    leak = _leak(graph, X)
+    if leak is not None:
+        raise GraphError(f"subset is not parabolic: {leak} is outside it")
     return ParabolicSubgraph(graph, X)
 
 

@@ -249,13 +249,14 @@ def test_confluence_rejects_negative_samples(paths, option):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _python(*args, timeout=60, **env):
-    """Run a fresh interpreter on this checkout's sources, as a user would;
-    a run past the timeout fails the test instead of hanging it."""
+def _python(*args, timeout=60, stdin=None, **env):
+    """Run a fresh interpreter on this checkout's sources, as a user would,
+    with the text ``stdin`` as its input; a run past the timeout fails the
+    test instead of hanging it."""
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=timeout)
+                          timeout=timeout, input=stdin)
 
 
 @pytest.mark.parametrize("option", [["--samples", "-1"], ["--strategies", "-2"]],
@@ -451,6 +452,26 @@ def test_f_nf_lifts_the_lowest_prefix_rung_of_a_long_ladder(e):
     # and second 1 (quadratic if the others were dropped one at a time)
     result = _python("-m", "trickle.cli", "f", "nf", "--", f"-3/4^-1 -1/2**{e}")
     assert (result.returncode, result.stdout) == (0, f"-1/2**{e} -3/8^-1\n"), result.stderr
+
+
+def test_f_nf_past_the_argument_limit_goes_back_in_through_stdin():
+    # 250,048 bytes, above the 128 KiB the system allows one argument
+    word = "0^1000000 1/2^1000000 -3/4^-1000000"
+    nf = _python("-m", "trickle.cli", "f", "nf", "--", word)
+    assert nf.returncode == 0 and len(nf.stdout) == 250_048, nf.stderr
+    again = _python("-m", "trickle.cli", "f", "nf", "-", stdin=nf.stdout)
+    assert (again.returncode, again.stdout) == (0, nf.stdout), again.stderr
+    for args in (["-", word], ["--", word, "-"]):
+        result = _python("-m", "trickle.cli", "f", "eq", *args, stdin=nf.stdout)
+        assert (result.returncode, result.stdout) == (0, "equal\n"), result.stderr
+    result = _python("-m", "trickle.cli", "f", "eq", "-", "0", stdin=nf.stdout)
+    assert (result.returncode, result.stdout) == (1, "not equal\n"), result.stderr
+
+
+def test_f_eq_reads_at_most_one_word_from_stdin():
+    result = _python("-m", "trickle.cli", "f", "eq", "-", "-", stdin="0 inf")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: at most one word may be read from stdin ('-')\n"
 
 
 LONG_TOKEN = "a" * 5000

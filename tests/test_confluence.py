@@ -1,6 +1,10 @@
+import gc
 import itertools
 import random
+import re
+import threading
 import time
+import weakref
 
 import pytest
 
@@ -296,6 +300,144 @@ def test_shared_move_table_matches_fresh_searches(name):
     assert report.samples_checked == expected.samples_checked == 40
     assert report.sample_failures == expected.sample_failures
     assert rng.random() == reference.random()
+
+
+def assert_call_matches_fresh_searches(g, seed, pilings=10, strategies=8):
+    """One call on ``g``, whatever its memo holds, against the fresh-search
+    reference: the same report and rng state, or the same error; whether it
+    raised."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    try:
+        report = conf.check_strategy_independence(g, rng, pilings=pilings, strategies=strategies)
+    except GraphError as e:
+        with pytest.raises(GraphError, match=re.escape(str(e))):
+            reference_strategy_independence(g, reference, pilings, strategies)
+        return True
+    expected = reference_strategy_independence(g, reference, pilings, strategies)
+    assert report.samples_checked == expected.samples_checked == pilings
+    assert report.sample_failures == expected.sample_failures
+    assert rng.getstate() == reference.getstate()
+    return False
+
+
+@pytest.mark.parametrize("name", SI_GRAPHS)
+def test_warm_move_memo_matches_fresh_searches(name):
+    g = SI_GRAPHS[name]()
+    for seed in range(4):       # the first call fills the memo, the others read it
+        assert_call_matches_fresh_searches(g, seed)
+    assert g.kernel().moves.pairs
+
+
+def test_calls_interleaved_across_graphs_match_fresh_searches():
+    graphs = [fixture("J5"), gar3(), broken_g(), fixture("J5").dual()]
+    for seed in range(3):
+        for g in graphs:
+            assert_call_matches_fresh_searches(g, seed * 10 + len(g.vertices))
+    assert len({id(g.kernel().moves) for g in graphs}) == len(graphs)
+
+
+def test_a_call_after_one_that_raised_matches_fresh_searches():
+    # phi_x is not injective: pilings that extract y or z past x raise
+    g = TrickleGraph.build(["x", "y", "z"], 2, [("x", "y"), ("x", "z"), ("y", "z")],
+                           phi={"x": {"y": "z", "z": "z"}})
+    raised = [assert_call_matches_fresh_searches(g, seed, pilings=2, strategies=4)
+              for seed in range(12)]
+    assert any(raised) and not all(raised)
+
+
+def test_a_replaced_memo_matches_fresh_searches(monkeypatch):
+    monkeypatch.setattr(conf, "_TABLE_BOUND", 3000)
+    g = gar3()
+    memos = set()
+    for seed in range(6):
+        assert_call_matches_fresh_searches(g, seed)
+        memos.add(id(g.kernel().moves))
+    assert len(memos) > 1
+
+
+def test_threads_share_one_move_memo(monkeypatch):
+    # the bound is low, so the memo is replaced while the threads run; the
+    # threads start each call at once on one seed, so they meet the same new
+    # strata together, and a miss in ids yields to the other threads before
+    # its caller can write the stratum
+    class SwitchingDict(dict):
+        def get(self, key, default=None):
+            value = dict.get(self, key, default)
+            if value is default:
+                time.sleep(1e-4)
+            return value
+
+    class SwitchingMoves(conf._Moves):
+        def __init__(self, graph):
+            super().__init__(graph)
+            self.ids = SwitchingDict(self.ids)
+            memos.append(self)
+
+    monkeypatch.setattr(conf, "_TABLE_BOUND", 4000)
+    monkeypatch.setattr(conf, "_Moves", SwitchingMoves)
+    g, memos = fixture("J5"), []
+    expected = {}
+    for seed in range(6):
+        reference = random.Random(seed)
+        report = reference_strategy_independence(g, reference, 5, 8)
+        expected[seed] = (report.sample_failures, reference.getstate())
+    results, errors = {}, []
+    step = threading.Barrier(4, timeout=60)
+
+    def work(t):
+        try:
+            for seed in expected:
+                step.wait()
+                rng = random.Random(seed)
+                report = conf.check_strategy_independence(g, rng, pilings=5, strategies=8)
+                results[t, seed] = (report.sample_failures, rng.getstate())
+        except Exception as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert results == {(t, seed): expected[seed] for t in range(4) for seed in expected}
+    assert len(memos) > 1
+    for moves in memos:         # no stratum got two ids
+        assert len(moves.ids) == len(moves.names) == len(set(moves.names))
+
+
+def test_move_memo_stays_within_the_bound_and_keeps_no_graph_alive(monkeypatch):
+    g = gar3()
+    weights, real = [], conf._moves
+
+    def weighing(kernel):
+        moves = real(kernel)
+        weights.append(conf._STRATUM_WEIGHT * len(moves.names) + moves.pairs)
+        return moves
+
+    monkeypatch.setattr(conf, "_moves", weighing)
+    rng = random.Random(9)
+    for _ in range(2):      # unbounded, they would leave about 1,000 strata and 17k pairs
+        conf.check_strategy_independence(g, rng, pilings=1000)
+    # each piling starts from a memo within the bound, so pilings replaced it
+    assert max(weights) <= conf._TABLE_BOUND
+    assert any(b < a for a, b in zip(weights, weights[1:]))
+    moves = g.kernel().moves
+    assert conf._STRATUM_WEIGHT * len(moves.names) + moves.pairs <= 1.1 * conf._TABLE_BOUND
+    ref = weakref.ref(g)
+    del g, moves
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("name", ["F", "QUANDLE"])
+def test_strategy_independence_needs_a_finite_graph(name):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(GraphError, match="needs a finite graph"):
+        conf.check_strategy_independence(fixture(name), rng, pilings=2)
+    assert rng.getstate() == state
 
 
 def _long_piling(g, rng):

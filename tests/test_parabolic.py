@@ -48,6 +48,42 @@ def test_constructor_rejects_non_parabolic(j3):
         parabolic_subgraph(j3, {A, B})
 
 
+def test_rejection_names_its_witness(j3):
+    with pytest.raises(GraphError) as e:
+        parabolic_subgraph(j3, {A, B})
+    assert str(e.value) == "subset is not parabolic: phi_'[1,3]'('[1,2]') = '[2,3]' is outside it"
+    # phi_t turns p -> q -> r: with q in X, the inverse image of p leaves it
+    g = TrickleGraph.build(["t", "p", "q", "r"], 2, [("t", "p"), ("t", "q"), ("t", "r")],
+                           [("p", "t"), ("q", "t"), ("r", "t")],
+                           phi={"t": {"p": "q", "q": "r", "r": "p"}})
+    with pytest.raises(GraphError, match=r"phi_'t'\^-1\('p'\) = 'r' is outside it$"):
+        parabolic_subgraph(g, {"t", "p", "q"})
+    long_id = "v" * 3000
+    g = TrickleGraph.build(["x", long_id, "z"], 2, [("x", long_id), ("x", "z")],
+                           phi={"x": {long_id: "z", "z": long_id}})
+    with pytest.raises(GraphError) as e:
+        parabolic_subgraph(g, {"x", long_id})
+    assert len(str(e.value)) < 120
+
+
+def test_rejection_text_ignores_the_hash_seed():
+    # J4's star maps leave X at three (x, y); the first in ranking order is named
+    code = ("from trickle.families import cactus\n"
+            "from trickle.graph import GraphError\n"
+            "from trickle.parabolic import parabolic_subgraph\n"
+            "g = cactus(4)\n"
+            "try:\n"
+            "    parabolic_subgraph(g, {'[1,2]', '[1,3]', '[1,4]'})\n"
+            "except GraphError as e:\n"
+            "    print(e)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    answers = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+                              ).stdout for seed in range(6)}
+    assert answers == {"subset is not parabolic: phi_'[1,3]'('[1,2]') = '[2,3]' is outside it\n"}
+
+
 def test_member(j3):
     sub = parabolic_subgraph(j3, {B, C})
     assert member(element_from_text(j3, f"{B} {C}"), sub)
