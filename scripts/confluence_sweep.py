@@ -4,15 +4,16 @@
 Prints one row per graph: overlap count, unresolved count, random-piling
 divergences, and the wall time of each phase, the critical pairs and the
 strategy independence.  Slower and wider than the acceptance run when
-asked (bounds and sample counts are flags); ``--samples`` has the bound
-of ``trickle confluence --samples``.
+asked (bounds and sample counts are flags); ``--samples`` has the bounds
+of ``trickle confluence --samples``, and both counts are refused before
+any graph is built.
 """
 
 import random
 import time
 
 from trickle import confluence as conf
-from trickle.cli import MAX_SAMPLES, _fail, _Parser
+from trickle.cli import _check_samples, _fail, _Parser
 from trickle.families import FIXTURES, fixture
 from trickle.graph import GraphError
 
@@ -26,8 +27,9 @@ def main():
     ap.add_argument("--strategies", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    if args.samples > MAX_SAMPLES:
-        _fail(f"--samples {args.samples} is above the bound {MAX_SAMPLES}")
+    _check_samples(args.samples)
+    if args.strategies < 1:
+        _fail(f"--strategies {args.strategies} is below 1")
     try:
         graphs = [(name, fixture(name)) for name in args.names or sorted(FIXTURES)]
     except GraphError as e:

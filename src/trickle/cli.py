@@ -68,6 +68,13 @@ def _check_n(family, n):
         _fail(f"--n {n} is above the bound {MAX_N[family]} for {family}")
 
 
+def _check_samples(samples):
+    if samples < 0:
+        _fail(f"--samples {samples} is below 0")
+    if samples > MAX_SAMPLES:
+        _fail(f"--samples {samples} is above the bound {MAX_SAMPLES}")
+
+
 def _ranking_line(graph):
     return "ranking: " + " ".join(graph.format_vertex(v) for v in graph.vertices)
 
@@ -178,8 +185,7 @@ def confluence_cmd(args):
 
     from .confluence import check_critical_pairs, check_strategy_independence
 
-    if args.samples > MAX_SAMPLES:
-        _fail(f"--samples {args.samples} is above the bound {MAX_SAMPLES}")
+    _check_samples(args.samples)
     g = _load(args.graph_path)
     report = check_critical_pairs(g, args.max_support, args.max_exp)
     sampled = check_strategy_independence(

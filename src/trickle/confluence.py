@@ -20,25 +20,26 @@ witness.
 The overlaps are enumerated once, as work units (``_units``) that
 ``enumerate_critical_pairs`` expands into pairs and ``check_critical_pairs``
 evaluates on interned pilings with memoized products.  A ``_Reducer``
-holds pilings as tuples of stratum ids of one ``pilings._StepTable``,
-the id step table ``normalize`` keeps per finite graph, and reduces them
-with its moves, so a product that was never computed still finds most
-of its moves by one row lookup.  Its products are memoized by row, one
-dict per piling from the first time it is a left factor, so a row of
-products is read in one pass and its misses are computed in one loop; a
-product whose junction pair the table shows irreducible is its two
-factors side by side, with no pass at all.  In a C2 unit each distinct
-left-hand product has its row of products with the incoming strata read
-once, and each right-hand row forms its inner products once per
-distinct middle stratum V + gz before reading the outer products from
-their rows; the rows are compared as a whole.
+holds pilings as tuples of stratum ids of a ``pilings._StepTable`` of its
+own, built per check from the graph's kernel as ``normalize`` builds the
+one it keeps per finite graph, and reduces them with its moves, so a
+product that was never computed still finds most of its moves by one
+row lookup.  Its products are memoized by row, one dict per piling from
+the first time it is a left factor, so a row of products is read in one
+pass and its misses are computed in one loop; a product whose junction
+pair the table shows irreducible is its two factors side by side, with
+no pass at all.  In a C2 unit each distinct left-hand product has its
+row of products with the incoming strata read once, and each right-hand
+row forms its inner products once per distinct middle stratum V + gz
+before reading the outer products from their rows; the rows are
+compared as a whole.
 The strategy-independence check holds strata as ints in a memo on the
 graph's kernel, kept across calls and replaced as the step table is, so
 the movers of each stratum and the landing pushes of each pair are
-searched once per graph.  The strategies of one piling walk one move
-graph, built as their draws first take each move, so a piling an earlier
-strategy reached is stepped through by lookups; the draws are those of a
-fresh search at every step.
+searched once per graph.  The strategies of one piling share one dict
+from each piling they reach to the flat list of its successors, listed
+as a fresh search lists its moves, so a step is one draw of an index and
+the draws are those of a fresh search at every step.
 ``resolve`` and the failure witnesses both ``normalize`` the two
 successors, so a False answer always comes with two distinct irreducible
 forms as evidence.
@@ -94,7 +95,6 @@ still adds its own pair count.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import random
@@ -104,8 +104,8 @@ from types import SimpleNamespace
 
 from .graph import INFINITY, GraphError
 from .pilings import (_STRATUM_WEIGHT, _TABLE_BOUND, _UNSEEN, _StepTable, _kernel_stratum,
-                      _settle, _stratum_add, normalize, push_syllable, sort_stratum,
-                      stratum_can_add, stratum_extract, stratum_remove)
+                      _name_stratum, _settle, _stratum_add, normalize, push_syllable,
+                      sort_stratum, stratum_can_add, stratum_extract, stratum_remove)
 
 
 # Most strata one enumeration may build.  The work grows much faster than the
@@ -701,9 +701,14 @@ def _random_exponent(graph, v, rng, max_exp):
 
 
 def normalize_random_strategy(graph, piling, rng: random.Random):
-    """Reduce by uniformly random applicable moves until irreducible."""
+    """Reduce by uniformly random applicable moves until irreducible.
+
+    Each stratum is read as ``normalize`` reads it (``pilings._name_stratum``),
+    with the same errors, but a stratum left empty is kept: erasing it is
+    a move."""
     moves = _Moves(graph)
-    return moves.names_of(moves.walk({}, moves.key(piling), rng))
+    key = moves.key([_name_stratum(graph, U) for U in piling])
+    return moves.names_of(moves.walk({}, key, rng))
 
 
 class _Moves:
@@ -718,16 +723,13 @@ class _Moves:
     names, so the check does not lean on the kernel's step table that it
     tests.  ``sid`` interns under a lock, as ``_StepTable.sid`` does.
 
-    A walk reads and extends a move graph ``seen``: each piling met maps
-    to its node ``(key, count, empties, ends, landings, nexts)``.  Its
-    ``count`` moves are numbered as a fresh search lists them, erasures
-    first (at the positions ``empties``) and then the pushes of each pair
-    left to right, ``landings[i]`` those of the pair at i and ``ends[i]``
-    the running total of pushes through it, so ``rng`` draws the values
-    it would draw there.  ``nexts`` maps a move's number to the node it
-    leads to, filled when a draw first takes it: walks that share
-    ``seen`` share its nodes, and a walk that reaches a piling an earlier
-    walk expanded steps on by dict lookups alone.
+    A walk reads and extends ``seen``, which maps each piling met to the
+    flat list of the pilings one move away, in the order a fresh search
+    lists the moves: erasures of empty strata left to right, then the
+    landing pushes of each adjacent pair left to right.  A step draws an
+    index into that list, the value ``rng`` would draw over a fresh
+    search's moves.  Walks that share ``seen`` share its lists, and a walk
+    that reaches a piling an earlier walk met steps on by one dict lookup.
     """
 
     def __init__(self, graph):
@@ -756,16 +758,13 @@ class _Moves:
 
     def _node(self, seen, key):
         pushes = self.pushes
-        landings = [pushes[u].get(v) for u, v in zip(key, key[1:])]
-        if None in landings:
-            for i, ts in enumerate(landings):
-                if ts is None:
-                    landings[i] = self._landings(key[i], key[i + 1])
-        empties = [i for i, u in enumerate(key) if not u] if 0 in key else []
-        ends = list(itertools.accumulate(map(len, landings)))
-        count = len(empties) + (ends[-1] if ends else 0)
-        node = seen[key] = (key, count, empties, ends, landings, {})
-        return node
+        nexts = seen[key] = [key[:i] + key[i + 1:] for i, u in enumerate(key) if not u]
+        for i, (u, v) in enumerate(zip(key, key[1:])):
+            ts = pushes[u].get(v)
+            if ts is None:
+                ts = self._landings(u, v)
+            nexts += [key[:i] + t + key[i + 2:] for t in ts]
+        return nexts
 
     def _landings(self, u, v):
         graph, U = self.graph, self.names[u]
@@ -782,22 +781,13 @@ class _Moves:
     def walk(self, seen, key, rng):
         """The key of the irreducible piling one random strategy reaches from
         ``key``; each step adds at most one piling to ``seen``."""
-        node = seen.get(key) or self._node(seen, key)
         while True:
-            key, count, empties, ends, landings, nexts = node
-            if not count:
+            nexts = seen.get(key)
+            if nexts is None:
+                nexts = self._node(seen, key)
+            if not nexts:
                 return key
-            r = rng.randrange(count)
-            node = nexts.get(r)
-            if node is None:
-                p = r - len(empties)
-                if p < 0:
-                    i = empties[r]
-                    k = key[:i] + key[i + 1:]
-                else:
-                    i = bisect.bisect_right(ends, p)
-                    k = key[:i] + landings[i][p - ends[i - 1] if i else p] + key[i + 2:]
-                node = nexts[r] = seen.get(k) or self._node(seen, k)
+            key = nexts[rng.randrange(len(nexts))]
 
 
 def _moves(kernel):
@@ -814,10 +804,10 @@ def check_strategy_independence(graph, rng=None, pilings=1000, strategies=20,
     """Many random pilings of a finite graph, each reduced under many random
     strategies.
 
-    The strategies of one piling walk one move graph (``_Moves``), so a
-    piling that an earlier strategy expanded costs a dict lookup per
-    step.  Move graphs live for one piling, the moves in the kernel's
-    memo (``_moves``) for as long as the graph.
+    The strategies of one piling share one dict of successor lists
+    (``_Moves.walk``), so a piling an earlier strategy reached costs a
+    dict lookup and a draw per step.  The dict lives for one piling, the
+    moves in the kernel's memo (``_moves``) for as long as the graph.
     """
     if pilings < 0 or strategies < 1:
         raise GraphError(f"pilings must be at least 0 and strategies at least 1, "

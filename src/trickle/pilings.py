@@ -172,17 +172,7 @@ def normalize(graph, piling) -> Piling:
     """
     kernel = graph.kernel()
     if kernel is None:
-        strata = []
-        for U in piling:
-            S = []
-            for v, a in U:
-                if not graph.contains_vertex(v):
-                    raise GraphError(f"unknown vertex {reprlib.repr(v)}")
-                c = canonical_exponent(graph, v, a if type(a) is int else _exponent(a))
-                if c:
-                    S.append((v, c))
-            if S:
-                strata.append(sort_stratum(graph, S) if len(S) > 1 else tuple(S))
+        strata = [S for S in (_name_stratum(graph, U) for U in piling) if S]
         return _halves(graph, strata, None)
     table, ids = _table(kernel), []
     for U in piling:
@@ -190,6 +180,20 @@ def normalize(graph, piling) -> Piling:
         if S:
             ids.append(table.sid(S))
     return _on_table(table, ids)
+
+
+def _name_stratum(graph, U):
+    """The name stratum U as ``normalize`` reads it on a lazy graph: each
+    vertex checked, each exponent read mod mu, the syllables that vanish
+    dropped, in descending rank."""
+    S = []
+    for v, a in U:
+        if not graph.contains_vertex(v):
+            raise GraphError(f"unknown vertex {reprlib.repr(v)}")
+        c = canonical_exponent(graph, v, a if type(a) is int else _exponent(a))
+        if c:
+            S.append((v, c))
+    return sort_stratum(graph, S) if len(S) > 1 else tuple(S)
 
 
 def _kernel_stratum(kernel, U):

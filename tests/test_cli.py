@@ -242,8 +242,15 @@ def test_confluence_refuses_too_many_samples(paths, samples):
 def test_confluence_rejects_negative_samples(paths, option):
     out = run("confluence", paths["j4"], *option, "--max-support", "1", "--max-exp", "1",
               code=2)
-    assert len(out.splitlines()) == 1
-    assert out.startswith("error: pilings must be at least 0 and strategies at least 1")
+    samples = option[-1].split("=")[-1]
+    assert out == f"error: --samples {samples} is below 0\n"
+
+
+def test_confluence_refuses_negative_samples_before_loading_the_graph(tmp_path):
+    # the critical-pair check would run first, and a missing file would be
+    # the error, if the graph were loaded before the count is read
+    out = run("confluence", str(tmp_path / "missing.json"), "--samples", "-1", code=2)
+    assert out == "error: --samples -1 is below 0\n"
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -264,8 +271,9 @@ def _python(*args, timeout=60, stdin=None, **env):
 def test_sweep_rejects_negative_counts(option):
     result = _python(str(ROOT / "scripts" / "confluence_sweep.py"), "J3",
                      "--max-support", "1", "--max-exp", "1", *option)
-    assert result.returncode == 2
-    assert result.stderr.startswith("error: pilings must be at least 0")
+    assert result.returncode == 2 and result.stdout == ""
+    bound = 0 if option[0] == "--samples" else 1
+    assert result.stderr == f"error: {option[0]} {option[1]} is below {bound}\n"
 
 
 @pytest.mark.parametrize("samples", [str(MAX_SAMPLES + 1), "100000000000000000000"])

@@ -252,27 +252,27 @@ def test_random_strategies_agree_with_normalize():
                 assert conf.normalize_random_strategy(g, piling, rng) == expected
 
 
+def reference_moves(graph, strata):
+    """The pilings one move from ``strata``, searched afresh, in the order the
+    strategies number them: erasures of empty strata left to right, then
+    the landing pushes of each adjacent pair left to right."""
+    moves = [strata[:i] + strata[i + 1:] for i, U in enumerate(strata) if not U]
+    for i in range(len(strata) - 1):
+        for s in strata[i + 1]:
+            t = push_syllable(graph, strata[i], strata[i + 1], s)
+            if t is not None:
+                moves.append(strata[:i] + t + strata[i + 2:])
+    return moves
+
+
 def reference_random_strategy(graph, piling, rng):
     """``normalize_random_strategy`` searching every pair afresh at each step."""
-    strata = list(piling)
+    strata = tuple(piling)
     while True:
-        moves = []
-        for i, U in enumerate(strata):
-            if not U:
-                moves.append((i, None))
-        for i in range(len(strata) - 1):
-            U, V = strata[i], strata[i + 1]
-            for s in V:
-                t = push_syllable(graph, U, V, s)
-                if t is not None:
-                    moves.append((i, t))
+        moves = reference_moves(graph, strata)
         if not moves:
-            return tuple(strata)
-        i, t = moves[rng.randrange(len(moves))]
-        if t is None:
-            del strata[i]
-        else:
-            strata[i:i + 2] = [t[0], t[1]]
+            return strata
+        strata = moves[rng.randrange(len(moves))]
 
 
 def reference_strategy_independence(graph, rng, pilings, strategies):
@@ -483,6 +483,61 @@ def test_a_walk_adds_at_most_one_piling_per_step(name):
     seen, draws = {}, rng.draws
     moves.walk(seen, moves.key(piling), rng)
     assert len(seen) <= rng.draws - draws + 1
+
+
+@pytest.mark.parametrize("name", SI_GRAPHS)
+def test_each_successor_list_is_a_fresh_search_in_order(name):
+    g = SI_GRAPHS[name]()
+    moves, rng = conf._Moves(g), random.Random(17)
+    listed = 0
+    for _ in range(20):
+        key, seen = moves.key(conf.random_piling(g, rng)), {}
+        for _ in range(4):
+            moves.walk(seen, key, rng)
+        for k, nexts in seen.items():
+            assert [moves.names_of(n) for n in nexts] == reference_moves(g, moves.names_of(k))
+        listed += len(seen)
+    assert listed > 20
+
+
+@pytest.mark.parametrize("piling, expected", [
+    ((((B, 2),),), ()),
+    (((), ((B, 3),)), (((B, 1),),)),
+    ((((B, 1), (C, 0), (A, -3)),), (((A, 1), (B, 1)),)),
+    ((((B, True),), (), ((B, 5),)), ()),
+], ids=["vanished", "mod-mu", "unsorted-with-zero", "bool-exponent"])
+def test_random_strategy_reads_its_piling_as_normalize_does(piling, expected):
+    g = cactus(3)
+    assert normalize(g, piling) == expected
+    for seed in range(8):
+        assert conf.normalize_random_strategy(g, piling, random.Random(seed)) == expected
+
+
+@pytest.mark.parametrize("piling", [((("zz", 1),),), (((B, 1.0),),), ((), ((A, "1"),))],
+                         ids=["unknown-vertex", "float-exponent", "str-exponent"])
+def test_random_strategy_raises_as_normalize_does(piling):
+    g = cactus(3)
+    with pytest.raises(GraphError) as expected:
+        normalize(g, piling)
+    with pytest.raises(GraphError, match=re.escape(str(expected.value))):
+        conf.normalize_random_strategy(g, piling, random.Random(0))
+
+
+@pytest.mark.parametrize("name", ["J4", "GAR3", "CSTAR", "RAAG-C6"])
+def test_random_strategy_on_a_piling_written_loosely_draws_as_on_its_reading(name):
+    # exponents off their residue, zero exponents, reversed strata: the walk
+    # draws as the fresh search does on the canonical strata, empty ones kept
+    g, rng = fixture(name), random.Random(23)
+    for _ in range(40):
+        piling = conf.random_piling(g, rng)
+        loose = tuple(tuple(reversed([(v, a + (g.mu(v) if g.mu(v) != INFINITY else 0))
+                                      for v, a in U] + [(v, 0) for v, _ in U[:1]]))
+                      for U in piling)
+        seed = rng.randrange(1000)
+        ours, reference = random.Random(seed), random.Random(seed)
+        assert (conf.normalize_random_strategy(g, loose, ours)
+                == reference_random_strategy(g, piling, reference) == normalize(g, loose))
+        assert ours.getstate() == reference.getstate()
 
 
 def test_strategy_independence_report():
